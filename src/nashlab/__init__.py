@@ -11,7 +11,6 @@ from .blowup import (
     Chart,
     EmptyLogJacobian,
     MonomialIdeal,
-    StepChart,
     blowup_charts,
     log_jacobian,
     minimalize,
@@ -22,10 +21,8 @@ from .blowup import (
 from .cones import (
     Cone,
     DegenerateConeError,
-    ResourceLimit,
     dual_rays,
     hilbert_basis,
-    pointedness,
     saturate,
 )
 from .families import (
@@ -44,7 +41,6 @@ from .intlinalg import (
     determinant,
     hermite_normal_form,
     kernel_basis,
-    lp_strict_separation,
     smith_normal_form,
     solve_rational,
 )
@@ -76,9 +72,7 @@ __all__ = [
     "MonomialIdeal",
     "NoSolution",
     "NotPointedError",
-    "ResourceLimit",
     "RunConfig",
-    "StepChart",
     "Underdetermined",
     "X_RELATIONS",
     "blowup_charts",
@@ -97,11 +91,9 @@ __all__ = [
     "isomorphic",
     "kernel_basis",
     "log_jacobian",
-    "lp_strict_separation",
     "minimalize",
     "nash_step",
     "numerical",
-    "pointedness",
     "rebassoo",
     "reeve",
     "run",

@@ -2,18 +2,17 @@
 characteristic, plus the composite Nash / normalized-Nash step.
 
 The exponent set of the ideal collects sums of rank-many generators whose
-determinant survives in the base field; each minimal exponent yields an
-affine chart, redundant charts are absorbed (their defining monomial ratio
-is a unit), and survivors are quotiented by units and optionally saturated.
+determinant survives in the base field; each vertex of its Newton
+polyhedron yields a pointed affine chart, optionally saturated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .cones import dual_rays, saturate
-from .intlinalg import NoSolution, determinant, dot, hermite_normal_form, solve_rational, vsub
-from .semigroups import AffineSemigroup, NotPointedError, unit_quotient
+from .intlinalg import determinant, dot, hermite_normal_form, vsub
+from .semigroups import AffineSemigroup, NotPointedError
 
 
 class EmptyLogJacobian(ValueError):
@@ -21,14 +20,24 @@ class EmptyLogJacobian(ValueError):
     field; the blowup is undefined."""
 
 
+#: Characteristics at or above this are rejected before the primality test,
+#: which is trial division and so costs at most about 46k divisions.
+MAX_CHARACTERISTIC = 2**31
+
+
 def validate_characteristic(ch) -> int:
-    """Characteristics are 0 or a prime number."""
+    """Characteristics are 0 or a prime number below ``MAX_CHARACTERISTIC``."""
     if isinstance(ch, bool) or not isinstance(ch, int):
         raise ValueError("characteristic must be an integer (0 or a prime)")
     if ch == 0:
         return 0
     if ch < 2:
         raise ValueError(f"characteristic must be 0 or a prime, got {ch}")
+    if ch >= MAX_CHARACTERISTIC:
+        raise ValueError(
+            f"characteristic {ch} is at or above the bound "
+            f"MAX_CHARACTERISTIC = {MAX_CHARACTERISTIC}"
+        )
     k = 2
     while k * k <= ch:
         if ch % k == 0:
@@ -51,30 +60,21 @@ class MonomialIdeal:
 
 @dataclass(frozen=True)
 class Chart:
-    """One affine chart of a monomial-ideal blowup.
+    """One affine chart of a monomial-ideal blowup, at a vertex of the
+    Newton polyhedron.
 
     ``semigroup`` is generated by the ambient generators together with all
     exponent differences against ``base_exponent`` (same lattice as the
-    ambient).  ``vertex`` marks bases that are vertices of the Newton
-    polyhedron (advisory), ``absorbed_by`` points at a chart that makes this
-    one redundant.
+    ambient).  ``vertex_certificate`` is a functional minimized on the
+    Newton polyhedron exactly at ``base_exponent`` and strictly positive on
+    every chart generator.
     """
 
     base_exponent: tuple
     semigroup: AffineSemigroup
-    vertex: bool
-    vertex_certificate: tuple | None
-    absorbed_by: int | None
+    vertex_certificate: tuple
 
-
-@dataclass(frozen=True)
-class StepChart:
-    """A surviving chart after unit quotient (and optional saturation)."""
-
-    base_exponent: tuple
-    semigroup: AffineSemigroup
-    unit_rank: int
-    vertex: bool
+    vertex = True  # charts are only built at certified vertices
 
 
 def log_jacobian(s: AffineSemigroup, ch) -> MonomialIdeal:
@@ -118,53 +118,30 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ambient=s, exponents=tuple(sorted(kept)))
 
 
-def _hnf_rows_and_pivots(vectors):
-    H, _ = hermite_normal_form(list(vectors))
-    rows = [tuple(r) for r in H if any(r)]
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-    return rows, pivots
-
-
-def _in_lattice(rows, pivots, v):
-    """Integer membership of v in the lattice spanned by HNF rows."""
-    v = list(v)
-    for row, p in zip(rows, pivots):
-        if v[p] % row[p] != 0:
-            return False
-        c = v[p] // row[p]
-        if c:
-            for j in range(p, len(v)):
-                v[j] -= c * row[j]
-    return not any(v)
-
-
 def blowup_charts(ideal: MonomialIdeal) -> list:
-    """One chart per exponent, with vertex flags and absorption.
+    """One chart per vertex of the Newton polyhedron, ordered by base
+    exponent.
 
-    Vertex flags come from a single double description of the homogenized
+    Vertices come from a single double description of the homogenized
     Newton cone (exponents at height 1, recession generators at height 0):
     an exponent is a vertex iff its lift is an extreme ray, and the sum of
     its tight facet normals is a strict separating functional, checked
-    before the flag is set.
+    before the chart is built.  That certificate is strictly positive on
+    every chart generator, so each chart is pointed.
 
-    Chart j is absorbed by chart i iff m_j - m_i is a unit of chart j's
-    semigroup (equivalently both differences lie in that semigroup); units
-    form the lattice spanned by the chart generators inside the lineality
-    space, so the test is exact lattice membership.  Among charts absorbing
-    each other mutually (equal semigroups) the lexicographically first base
-    exponent survives.
+    A non-vertex exponent lies in the relative interior of a face through
+    some vertex; its chart is a localization of that vertex's chart, so it
+    adds nothing to the blowup and is not built.
     """
     s = ideal.ambient
     d = s.rank
     exps = ideal.exponents
-    n = len(exps)
 
     lifted = [e + (1,) for e in exps] + [g + (0,) for g in s.generators]
     facets, equations = dual_rays(lifted, d + 1)
     if equations:
         raise AssertionError("Newton cone of a full-rank semigroup must be full-dimensional")
-    vertex_flags = []
-    vertex_certs = []
+    charts = []
     for e in exps:
         lift = e + (1,)
         tight = [f for f in facets if dot(f, lift) == 0]
@@ -173,89 +150,35 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
             rk = sum(1 for row in H if any(row))
         else:
             rk = 0
-        is_vertex = rk == d
-        cert = None
-        if is_vertex:
-            cert = tuple(sum(f[i] for f in tight) for i in range(d))
-            for other in exps:
-                if other != e and not dot(cert, e) < dot(cert, other):
-                    raise AssertionError("vertex certificate failed verification")
-            for g in s.generators:
-                if not dot(cert, g) > 0:
-                    raise AssertionError("vertex certificate failed verification")
-        vertex_flags.append(is_vertex)
-        vertex_certs.append(cert)
-
-    chart_semigroups = []
-    unit_lattices = []
-    for e in exps:
-        gens = list(s.generators) + [vsub(o, e) for o in exps if o != e]
+        if rk != d:
+            continue
+        cert = tuple(sum(f[i] for f in tight) for i in range(d))
+        for other in exps:
+            if other != e and not dot(cert, e) < dot(cert, other):
+                raise AssertionError("vertex certificate failed verification")
+        for g in s.generators:
+            if not dot(cert, g) > 0:
+                raise AssertionError("vertex certificate failed verification")
         # differences of lattice points: same ambient lattice, already canonical
-        chart = AffineSemigroup(d, gens)
-        chart_semigroups.append(chart)
-        units = chart.unit_group_generators()
-        unit_lattices.append(_hnf_rows_and_pivots(units) if units else ((), ()))
-
-    def absorbs(j, i):
-        diff = vsub(exps[j], exps[i])
-        if not any(diff):
-            return True
-        rows, pivots = unit_lattices[j]
-        return bool(rows) and _in_lattice(rows, pivots, diff)
-
-    rel = [[absorbs(j, i) if i != j else False for i in range(n)] for j in range(n)]
-    absorbed_by = []
-    for j in range(n):
-        target = None
-        for i in range(n):
-            if i != j and rel[j][i] and not rel[i][j]:
-                target = i
-                break
-        if target is None:
-            for i in range(j):
-                if rel[j][i] and rel[i][j]:
-                    target = i
-                    break
-        absorbed_by.append(target)
-
-    return [
-        Chart(
-            base_exponent=exps[j],
-            semigroup=chart_semigroups[j],
-            vertex=vertex_flags[j],
-            vertex_certificate=vertex_certs[j],
-            absorbed_by=absorbed_by[j],
+        gens = list(s.generators) + [vsub(o, e) for o in exps if o != e]
+        charts.append(
+            Chart(base_exponent=e, semigroup=AffineSemigroup(d, gens), vertex_certificate=cert)
         )
-        for j in range(n)
-    ]
+    return charts
 
 
 def step_charts(s: AffineSemigroup, ch, normalized: bool) -> list:
-    """Surviving charts of one (normalized) Nash blowup step, each presented
-    by its minimal generators after quotienting units (and saturating when
-    ``normalized``); ordered by base exponent."""
-    ideal = minimalize(log_jacobian(s, ch))
+    """Charts of one (normalized) Nash blowup step, each presented by its
+    minimal generators (its Hilbert basis when ``normalized``); ordered by
+    base exponent."""
     out = []
-    for chart in blowup_charts(ideal):
-        if chart.absorbed_by is not None:
-            continue
-        pointed, unit_rank = unit_quotient(chart.semigroup)
-        if pointed.rank == 0:
-            sg = pointed
-        elif normalized:
-            basis = saturate(pointed.generators, pointed.rank)
-            sg = AffineSemigroup(pointed.rank, basis, _minimal=tuple(basis))
+    for chart in blowup_charts(minimalize(log_jacobian(s, ch))):
+        sg = chart.semigroup
+        if normalized and sg.rank > 0:
+            basis = saturate(sg.generators, sg.rank)
         else:
-            minimal = pointed.minimal_generators()
-            sg = AffineSemigroup(pointed.rank, minimal, _minimal=minimal)
-        out.append(
-            StepChart(
-                base_exponent=chart.base_exponent,
-                semigroup=sg,
-                unit_rank=unit_rank,
-                vertex=chart.vertex,
-            )
-        )
+            basis = sg.minimal_generators()
+        out.append(replace(chart, semigroup=AffineSemigroup(sg.rank, basis, _minimal=tuple(basis))))
     return out
 
 

@@ -1,5 +1,5 @@
 """Rational polyhedral cones: generator/facet duality via the double
-description method, pointedness, Hilbert bases, and saturation.
+description method, lineality, Hilbert bases, and saturation.
 
 All cones live in an ambient lattice Z^rank and are represented exactly by
 integer generator vectors; the facet description is computed lazily.
@@ -21,15 +21,8 @@ from .intlinalg import (
 )
 
 
-class ResourceLimit(Exception):
-    """Combinatorial guard tripped (ambient rank too large for dualization)."""
-
-
 class DegenerateConeError(ValueError):
     """All generators are zero -- no geometric object to work with."""
-
-
-DUALIZE_RANK_LIMIT = 8
 
 
 def dual_rays(vecs, rank):
@@ -131,15 +124,6 @@ class Cone:
                 raise ValueError("generator has wrong dimension")
         self._dual = None
 
-    @classmethod
-    def from_inequalities(cls, rank, normals):
-        rays, lin = dual_rays(normals, rank)
-        gens = list(rays)
-        for l in lin:
-            gens.append(l)
-            gens.append(vneg(l))
-        return cls(rank, gens)
-
     def _dual_description(self):
         if self._dual is None:
             self._dual = dual_rays(self.generators, self.rank)
@@ -172,19 +156,6 @@ class Cone:
     def is_pointed(self):
         return not self.lineality_basis()
 
-    def dualize(self):
-        """The dual cone {l : l(v) >= 0 for all v in self}."""
-        if self.rank > DUALIZE_RANK_LIMIT:
-            raise ResourceLimit(
-                f"dualize is guarded at rank {DUALIZE_RANK_LIMIT}; got {self.rank}"
-            )
-        rays, lin = self._dual_description()
-        gens = list(rays)
-        for l in lin:
-            gens.append(l)
-            gens.append(vneg(l))
-        return Cone(self.rank, gens)
-
     def extreme_rays(self):
         """Primitive extreme rays of a pointed cone (error if not pointed)."""
         if not self.is_pointed:
@@ -201,12 +172,6 @@ class Cone:
             if rk == self.rank - 1:
                 out.add(primitive(g))
         return tuple(sorted(out))
-
-
-def pointedness(cone):
-    """(pointed flag, saturated lattice basis of the lineality lattice)."""
-    basis = cone.lineality_basis()
-    return (not basis, basis)
 
 
 def _parallelepiped_points(rays, rank):

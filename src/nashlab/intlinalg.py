@@ -26,10 +26,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -213,8 +209,8 @@ def smith_normal_form(m):
 def kernel_basis(m):
     """Saturated basis of the integer column kernel ``{x : m x = 0}``.
 
-    Returned as a list of integer tuples; the empty matrix (no rows) has the
-    standard basis as its kernel.
+    Returned as a list of integer tuples; a matrix with no rows raises
+    ``ValueError``, since its column count is unknown.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -276,80 +272,3 @@ def invert_unimodular(U):
             raise ValueError("matrix is not unimodular")
         cols.append([int(v) for v in x])
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _fm_normalize(coeffs, rhs):
-    """Scale an inequality coeffs . w >= rhs by a positive rational so the
-    first nonzero entry has absolute value 1 (for deduplication)."""
-    for x in coeffs + (rhs,):
-        if x != 0:
-            s = abs(x)
-            return tuple(c / s for c in coeffs), rhs / s
-    return coeffs, rhs
-
-
-def lp_strict_separation(target, others, recession):
-    """Rational functional l with l(target) < l(v) for all v in ``others`` and
-    l(r) > 0 for every nonzero r in ``recession``, or None if none exists.
-
-    This is the vertex test for a point of a Newton polyhedron
-    conv(others + target) + cone(recession).  Decided exactly by
-    Fourier-Motzkin elimination: a strict homogeneous system N w > 0 is
-    feasible iff N w >= 1 is, and the witness is recovered by
-    back-substitution.  The returned functional is re-checked against every
-    strict inequality before being returned.
-    """
-    d = len(target)
-    rows = []
-    for v in others:
-        if len(v) != d:
-            raise ValueError("dimension mismatch in others")
-        rows.append(vsub(v, target))
-    for r in recession:
-        if len(r) != d:
-            raise ValueError("dimension mismatch in recession")
-        if any(r):
-            rows.append(tuple(r))
-    if not rows:
-        return tuple(Fraction(0) for _ in range(d))
-    system = [(tuple(Fraction(x) for x in row), Fraction(1)) for row in rows]
-    stages = []
-    cur = system
-    for j in reversed(range(d)):  # eliminate w_{d-1}, ..., w_0
-        stages.append((j, cur))
-        pos = [(c, b) for c, b in cur if c[j] > 0]
-        neg = [(c, b) for c, b in cur if c[j] < 0]
-        new = {_fm_normalize(c, b) for c, b in cur if c[j] == 0}
-        for cp, bp in pos:
-            for cn, bn in neg:
-                coeffs = tuple(cp[t] * (-cn[j]) + cn[t] * cp[j] for t in range(d))
-                rhs = bp * (-cn[j]) + bn * cp[j]
-                new.add(_fm_normalize(coeffs, rhs))
-        cur = sorted(new)
-    if any(b > 0 for _, b in cur):  # 0 >= b with b > 0: infeasible
-        return None
-    w = [Fraction(0)] * d
-    for j, stage in reversed(stages):  # back-substitute w_0, w_1, ...
-        lo = None
-        hi = None
-        for c, b in stage:
-            if c[j] == 0:
-                continue
-            rest = b - sum(c[t] * w[t] for t in range(d) if t != j and c[t] != 0)
-            bound = rest / c[j]
-            if c[j] > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None:
-            w[j] = lo
-        elif hi is not None:
-            w[j] = hi
-    # self-certify
-    for v in others:
-        if not dot(w, target) < dot(w, v):
-            raise AssertionError("separation witness failed verification")
-    for r in recession:
-        if any(r) and not dot(w, r) > 0:
-            raise AssertionError("separation witness failed verification")
-    return tuple(w)

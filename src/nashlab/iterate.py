@@ -185,7 +185,7 @@ def _expand_worker(args):
         charts = step_charts(sg, ch, normalized)
     except EmptyLogJacobian as e:
         return ("empty", str(e))
-    return ("ok", [(c.base_exponent, c.semigroup, c.unit_rank, c.vertex) for c in charts])
+    return ("ok", [(c.base_exponent, c.semigroup) for c in charts])
 
 
 def _ancestors(nodes, node):
@@ -280,15 +280,15 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
                 payload = sorted(
                     payload, key=lambda c: (invariant_key(c[1]), c[1].generators, c[0])
                 )
-                for base, sg, u, vx in payload:
+                for base, sg in payload:
+                    # charts are pointed and sit at certified vertices
                     child = IterationNode(
                         id=len(nodes),
                         semigroup=sg,
                         parent=nid,
                         depth=node.depth + 1,
                         base_exponent=base,
-                        unit_rank=u,
-                        vertex=vx,
+                        vertex=True,
                     )
                     nodes.append(child)
                     node.children.append(child.id)

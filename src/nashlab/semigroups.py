@@ -35,7 +35,7 @@ class AffineSemigroup:
     mutate observable state.
     """
 
-    def __init__(self, rank, generators, lattice_basis=None, _minimal=None):
+    def __init__(self, rank, generators, _minimal=None):
         gens = tuple(sorted({tuple(g) for g in generators if any(g)}))
         for g in gens:
             if len(g) != rank:
@@ -46,7 +46,6 @@ class AffineSemigroup:
             raise ValueError("semigroup of positive rank needs a nonzero generator")
         self.rank = rank
         self.generators = gens
-        self.lattice_basis = lattice_basis
         self._cone = None
         self._functional = None
         self._member_cache = {}
@@ -67,11 +66,11 @@ class AffineSemigroup:
         return f"AffineSemigroup(rank={self.rank}, generators={list(self.generators)})"
 
     def __getstate__(self):
-        return (self.rank, self.generators, self.lattice_basis, self._mingens)
+        return (self.rank, self.generators, self._mingens)
 
     def __setstate__(self, state):
-        rank, gens, basis, minimal = state
-        self.__init__(rank, gens, lattice_basis=basis, _minimal=minimal)
+        rank, gens, minimal = state
+        self.__init__(rank, gens, _minimal=minimal)
 
     @property
     def cone(self):
@@ -204,8 +203,7 @@ def canonicalize(gens) -> AffineSemigroup:
 
     Takes arbitrary integer vectors, drops zeros and duplicates, computes a
     lattice basis of the generated group (Hermite normal form) and rewrites
-    every generator in that basis.  The basis rows are recorded on the result
-    as ``lattice_basis`` (new coordinates -> original lattice).
+    every generator in that basis.
     """
     pts = [tuple(g) for g in gens]
     if not pts:
@@ -227,7 +225,7 @@ def canonicalize(gens) -> AffineSemigroup:
         if any(c.denominator != 1 for c in x):
             raise AssertionError("generator not in its own lattice basis span")
         out.append(tuple(int(c) for c in x))
-    return AffineSemigroup(r, out, lattice_basis=tuple(tuple(row) for row in basis))
+    return AffineSemigroup(r, out)
 
 
 def unit_quotient(s: AffineSemigroup):

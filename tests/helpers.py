@@ -281,10 +281,11 @@ def _lattice_contains(vectors, v):
 
 
 def brute_charts(s, characteristic, normalized=False):
-    """Chart semigroups of one blowup step, computed the slow way: every
-    exponent of the logarithmic Jacobian ideal (no minimalization), no
-    vertex analysis, absorption straight from the definition (both exponent
-    differences land in the chart's unit lattice)."""
+    """``(base exponent, chart semigroup)`` for each chart of one blowup
+    step, computed the slow way: every exponent of the logarithmic Jacobian
+    ideal (no minimalization), no vertex analysis, absorption straight from
+    the definition (both exponent differences land in the chart's unit
+    lattice)."""
     d = s.rank
     exps = set()
     for sub in combinations(s.generators, d):
@@ -329,7 +330,7 @@ def brute_charts(s, characteristic, normalized=False):
                 pointed = AffineSemigroup(pointed.rank, saturate(pointed.generators, pointed.rank))
             else:
                 pointed = AffineSemigroup(pointed.rank, pointed.minimal_generators())
-        out.append(pointed)
+        out.append((exps[j], pointed))
     return out
 
 

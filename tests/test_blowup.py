@@ -1,10 +1,11 @@
-"""Blowup core: logarithmic Jacobian ideals, minimalization, charts,
-absorption, vertex certificates, and the composed step."""
+"""Blowup core: logarithmic Jacobian ideals, minimalization, vertex charts
+and their certificates, and the composed step."""
 import random
 
 import pytest
 
 from nashlab.blowup import (
+    MAX_CHARACTERISTIC,
     EmptyLogJacobian,
     MonomialIdeal,
     blowup_charts,
@@ -15,10 +16,11 @@ from nashlab.blowup import (
     validate_characteristic,
 )
 from nashlab.cones import saturate
+from nashlab.families import cyclic_quotient, from_preset, numerical, rebassoo, reeve
 from nashlab.intlinalg import dot
 from nashlab.semigroups import AffineSemigroup, NotPointedError, canonicalize, is_smooth, isomorphic
 
-from .helpers import _lattice_contains, scramble, smooth_corpus
+from .helpers import brute_charts, scramble, smooth_corpus
 
 
 def test_validate_characteristic():
@@ -27,6 +29,15 @@ def test_validate_characteristic():
     for bad in (1, 4, 6, -3, 2.5, True, "2"):
         with pytest.raises(ValueError):
             validate_characteristic(bad)
+
+
+def test_huge_characteristic_fails_fast():
+    # rejected before trial division, which would take minutes on 2**61 - 1
+    for big in (MAX_CHARACTERISTIC, 2**61 - 1):
+        with pytest.raises(ValueError, match="MAX_CHARACTERISTIC"):
+            validate_characteristic(big)
+    # the largest prime below the bound is still accepted
+    assert validate_characteristic(2**31 - 1) == 2**31 - 1
 
 
 def test_log_jacobian_of_the_cusp():
@@ -81,16 +92,14 @@ def test_minimalize_cusp_keeps_both():
 def test_blowup_charts_of_the_cusp():
     s = canonicalize([(2,), (3,)])
     charts = blowup_charts(minimalize(log_jacobian(s, 0)))
-    assert [c.base_exponent for c in charts] == [(2,), (3,)]
-    # chart at 2: {2,3,1} = N; chart at 3 contains -1, so it is absorbed
-    assert charts[0].absorbed_by is None
-    assert charts[1].absorbed_by == 0
+    # Newton polyhedron of {2,3} on N: 2 is the only vertex, and the chart
+    # at 2 is {2,3,1} = N
+    assert [c.base_exponent for c in charts] == [(2,)]
     assert charts[0].semigroup.generators == ((1,), (2,), (3,))
-    # Newton polyhedron of {2,3} on N: 2 is the only vertex
     assert charts[0].vertex is True
-    assert charts[1].vertex is False
     cert = charts[0].vertex_certificate
-    assert cert is not None and dot(cert, (2,)) < dot(cert, (3,))
+    assert dot(cert, (2,)) < dot(cert, (3,))
+    assert all(dot(cert, g) > 0 for g in charts[0].semigroup.generators)
 
 
 def test_vertex_certificates_strictly_separate():
@@ -98,53 +107,44 @@ def test_vertex_certificates_strictly_separate():
     for s in smooth_corpus(rng, 4) + [canonicalize([(1, 0), (1, 1), (1, 2)])]:
         ideal = minimalize(log_jacobian(s, 0))
         charts = blowup_charts(ideal)
-        assert any(c.vertex for c in charts)
+        assert charts and all(c.vertex for c in charts)
         for c in charts:
-            if c.vertex:
-                w = c.vertex_certificate
-                for other in ideal.exponents:
-                    if other != c.base_exponent:
-                        assert dot(w, other) > dot(w, c.base_exponent)
-                for g in s.generators:
-                    assert dot(w, g) > 0
-            else:
-                assert c.vertex_certificate is None
+            w = c.vertex_certificate
+            for other in ideal.exponents:
+                if other != c.base_exponent:
+                    assert dot(w, other) > dot(w, c.base_exponent)
+            for g in s.generators:
+                assert dot(w, g) > 0
 
 
-def test_absorption_flags_are_unit_lattice_facts():
-    """absorbed_by must point at a chart whose base differs by a unit of the
-    absorbed chart's semigroup (checked against an independent unit-lattice
-    computation)."""
-    rng = random.Random(402)
-    from .helpers import brute_dual_rays
-
-    for gens in ([(2,), (3,)], [(1, 0), (1, 1), (1, 2)], [(1, 0), (2, 1), (1, 3)]):
-        s = canonicalize(gens)
-        ideal = minimalize(log_jacobian(s, 0))
-        charts = blowup_charts(ideal)
-        for j, c in enumerate(charts):
-            cg = c.semigroup.generators
-            facets, equations = brute_dual_rays(cg, s.rank)
-            units = [
-                g
-                for g in cg
-                if all(dot(f, g) == 0 for f in facets)
-                and all(dot(e, g) == 0 for e in equations)
-            ]
-            for i, other in enumerate(charts):
-                diff = tuple(a - b for a, b in zip(c.base_exponent, other.base_exponent))
-                in_units = _lattice_contains(units, diff)
-                if c.absorbed_by == i:
-                    assert in_units
-            if c.absorbed_by is None:
-                # no strict absorber and no earlier mutual partner
-                for i, other in enumerate(charts):
-                    if i == j:
-                        continue
-                    diff = tuple(a - b for a, b in zip(c.base_exponent, other.base_exponent))
-                    if _lattice_contains(units, diff):
-                        # must be mutual with a later index
-                        assert i > j
+def test_charts_sit_exactly_at_the_oracle_survivors():
+    """Building charts only at vertices loses nothing: the base exponents of
+    ``step_charts`` are exactly the charts that survive brute-force
+    absorption (all exponents, no minimalization, unit lattices from the
+    definition), and every vertex certificate is strictly positive on its
+    chart, which is therefore pointed.  Rank <= 3 roots bring their depth-1
+    children; the rank-4 Reeve cones come alone, since the brute-force dual
+    rays of their children take tens of seconds."""
+    roots = [cyclic_quotient(a, b) for a, b in ((2, 5), (3, 7), (4, 9))]
+    roots += [rebassoo(3, 1, 2), from_preset("a1"), numerical([3, 4, 5])]
+    roots.append(canonicalize([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]))  # conifold
+    roots.append(canonicalize([(1, 0, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1)]))  # A1 x line
+    roots.append(canonicalize([(1, 0, 0), (1, 1, 0), (1, 1, 2), (1, 0, 2)]))
+    checked = 0
+    for ch in (0, 2, 3):
+        corpus = [reeve(2), reeve(3)]
+        for s in roots:
+            corpus += [s] + [c.semigroup for c in step_charts(s, ch, False)]
+        for s in corpus:
+            if is_smooth(s):
+                continue
+            charts = step_charts(s, ch, False)
+            survivors = [base for base, _ in brute_charts(s, ch)]
+            assert [c.base_exponent for c in charts] == survivors, (s.generators, ch)
+            for c in charts:
+                assert all(dot(c.vertex_certificate, g) > 0 for g in c.semigroup.generators)
+            checked += 1
+    assert checked == 61
 
 
 def test_nash_step_resolves_cusp_in_characteristic_zero():
@@ -172,7 +172,6 @@ def test_nash_step_single_iso_chart_on_smooth_inputs():
 def test_step_charts_metadata_and_normalization():
     s = canonicalize([(1, 0), (1, 1), (1, 2)])  # A1
     plain = step_charts(s, 0, False)
-    assert all(c.unit_rank >= 0 for c in plain)
     assert [c.base_exponent for c in plain] == sorted(c.base_exponent for c in plain)
     norm = step_charts(s, 0, True)
     for c in norm:
@@ -196,10 +195,11 @@ def test_nash_step_invariant_under_scrambling():
         matched.add(hit)
 
 
-def test_blowup_charts_reports_all_exponents():
+def test_blowup_charts_are_exactly_the_vertices():
     s = canonicalize([(1, 0), (1, 1), (1, 2)])
     ideal = minimalize(log_jacobian(s, 0))
+    # the Newton polyhedron of (2,1), (2,2), (2,3) over the A1 cone has the
+    # two ends as vertices; (2,2) is their midpoint
+    assert ideal.exponents == ((2, 1), (2, 2), (2, 3))
     charts = blowup_charts(ideal)
-    assert [c.base_exponent for c in charts] == list(ideal.exponents)
-    survivors = [c for c in charts if c.absorbed_by is None]
-    assert survivors
+    assert [c.base_exponent for c in charts] == [(2, 1), (2, 3)]

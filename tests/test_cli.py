@@ -102,6 +102,12 @@ def test_input_error_exits_one(capsys):
     assert run_cli([], capsys)[0] == 1
 
 
+def test_huge_characteristic_exits_one(capsys):
+    code, _, err = run_cli(["nash", "example:a1", "--char", str(2**61 - 1)], capsys)
+    assert code == 1
+    assert "MAX_CHARACTERISTIC" in err
+
+
 def test_schema_mismatch_rejected(tmp_path, capsys):
     p = tmp_path / "v2.json"
     p.write_text(json.dumps({"schema": "nashlab/2", "generators": [[1]]}))

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: determinants, Hermite and Smith forms,
-kernels, rational solving, and the strict-separation LP."""
+kernels and rational solving."""
 import random
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from nashlab.intlinalg import (
     hermite_normal_form,
     invert_unimodular,
     kernel_basis,
-    lp_strict_separation,
     primitive,
     smith_normal_form,
     solve_rational,
@@ -217,51 +216,3 @@ def test_primitive():
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-3,)) == (-1,)
     assert primitive((6, 9)) == (2, 3)
-
-
-def test_separation_square_vertex():
-    corners = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    w = lp_strict_separation((0, 0), [c for c in corners if c != (0, 0)], [])
-    assert w is not None
-    for c in corners:
-        if c != (0, 0):
-            assert dot(w, c) > dot(w, (0, 0))
-
-
-def test_separation_interior_point_fails():
-    corners = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    assert lp_strict_separation((1, 1), corners, []) is None
-
-
-def test_separation_respects_recession_directions():
-    # (0,1) is separated from (0,0)+cone((1,0)) but only by functionals
-    # positive on the ray
-    w = lp_strict_separation((0, 0), [(0, 1)], [(1, 0)])
-    assert w is not None
-    assert dot(w, (0, 1)) > 0 and dot(w, (1, 0)) > 0
-    # no functional: target is inside the recession translate of the other
-    assert lp_strict_separation((1, 0), [(0, 0)], [(1, 0)]) is None
-
-
-def test_separation_randomized_scrambled_orthant():
-    """The image of 0 under a unimodular map is always a strict vertex of
-    the image of a finite subset of N^d; a point written as another point
-    plus a recession direction never is."""
-    rng = random.Random(110)
-    for _ in range(30):
-        d = rng.randint(2, 4)
-        u = rand_unimodular(rng, d)
-        others = []
-        while len(others) < 5:
-            v = tuple(rng.randint(0, 3) for _ in range(d))
-            if any(v):
-                others.append(tuple(sum(u[i][j] * v[j] for j in range(d)) for i in range(d)))
-        origin = tuple(0 for _ in range(d))
-        w = lp_strict_separation(origin, others, [])
-        assert w is not None
-        for p in others:
-            assert dot(w, p) > 0
-        # now make the target redundant: target = others[0] + ray
-        ray = others[1]
-        target = tuple(a + b for a, b in zip(others[0], ray))
-        assert lp_strict_separation(target, others, [ray]) is None
