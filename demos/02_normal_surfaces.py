@@ -17,10 +17,7 @@ for b in range(2, 9):
             continue
         depths = []
         for ch in (0, 2, 3, 5):
-            tree = run(
-                cyclic_quotient(a, b),
-                RunConfig(characteristic=ch, normalized=True, cycle_scope="ancestors"),
-            )
+            tree = run(cyclic_quotient(a, b), RunConfig(characteristic=ch, normalized=True))
             assert tree.verdict_summary == "Resolved"
             depths.append(tree.stats()["depth_reached"])
         print(f"({a},{b})".ljust(8) + "      " + "   ".join(str(d) for d in depths))

@@ -16,7 +16,7 @@ for p in range(1, 5):
             if gcd(gcd(p, q), r) != 1:
                 continue
             s = rebassoo(p, q, r)
-            tree = run(s, RunConfig(characteristic=0, cycle_scope="ancestors"))
+            tree = run(s, RunConfig(characteristic=0))
             rows.append(((p, q, r), is_smooth(s), tree.stats()["depth_reached"],
                          tree.verdict_summary))
 

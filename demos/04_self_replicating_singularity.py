@@ -33,7 +33,7 @@ print(f"\none Nash step: {len(charts)} surviving charts")
 tree = run(x, RunConfig(characteristic=0, max_depth=1))
 print("verdict:", tree.verdict_summary)
 for node in tree.nodes:
-    if node.verdict == "Cycle":
+    if node.closes_cycle:
         print(f"chart at base exponent {node.base_exponent} is isomorphic to the root")
         print("unimodular certificate U (maps chart generators onto root generators):")
         for row in node.certificate.matrix:

@@ -10,8 +10,9 @@ It is smooth exactly for q = 1.  Two questions:
    of its first normalized step?  Answer below: no, for q <= 6 — the two
    constructions are genuinely different singularities.
 2. Do Reeve cones themselves cycle?  In characteristic 2 the iteration on
-   reeve(3) and reeve(4) finds a chart isomorphic to an ancestor, so the
-   family does produce positive-characteristic non-termination.
+   reeve(3) and reeve(4) finds a chart that closes a cycle of chart
+   isomorphism classes, so the family does produce positive-characteristic
+   non-termination.
 """
 from nashlab import (
     RunConfig,
@@ -43,8 +44,8 @@ for q in (2, 3, 4):
     tree = run(reeve(q), RunConfig(characteristic=2, max_depth=3, max_nodes=200))
     print(f"  reeve({q}): {tree.verdict_summary}")
     for node in tree.nodes:
-        if node.verdict == "Cycle" and node.is_ancestor_cycle:
+        if node.closes_cycle:
             print(
-                f"    chart at depth {node.depth} isomorphic to ancestor node "
+                f"    chart at depth {node.depth} closes a cycle through node "
                 f"{node.cycle_target} (depth {tree.nodes[node.cycle_target].depth})"
             )

@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -69,13 +68,12 @@ def _emit(doc, pretty: bool) -> None:
     sys.stdout.write("\n")
 
 
-def _run_config(args, default_scope: str) -> RunConfig:
+def _run_config(args) -> RunConfig:
     try:
         return RunConfig(
             characteristic=args.char,
             normalized=args.normalized,
             max_depth=args.max_depth,
-            cycle_scope=args.cycle_scope or default_scope,
             max_nodes=args.max_nodes,
         )
     except ValueError as e:
@@ -84,7 +82,7 @@ def _run_config(args, default_scope: str) -> RunConfig:
 
 def cmd_nash(args) -> int:
     root = _load_input(args.input)
-    config = _run_config(args, default_scope="all")
+    config = _run_config(args)
     started = time.perf_counter()
     tree = run(root, config, jobs=args.jobs)
     elapsed = time.perf_counter() - started
@@ -164,7 +162,7 @@ def _sweep_instances(args):
 
 def cmd_sweep(args) -> int:
     instances = _sweep_instances(args)
-    config = _run_config(args, default_scope="ancestors")
+    config = _run_config(args)
     rows = []
     for params, s in instances:
         tree = run(s, config, jobs=args.jobs)
@@ -194,7 +192,6 @@ def cmd_sweep(args) -> int:
                     "characteristic": config.characteristic,
                     "normalized": config.normalized,
                     "max_depth": config.max_depth,
-                    "cycle_scope": config.cycle_scope,
                     "max_nodes": config.max_nodes,
                 },
                 "rows": rows,
@@ -209,10 +206,7 @@ def _add_run_flags(p):
     p.add_argument("--normalized", action="store_true", help="saturate every chart (normalized blowup)")
     p.add_argument("--max-depth", type=int, default=None, help="iteration depth cap")
     p.add_argument("--max-nodes", type=int, default=500, help="total chart budget")
-    p.add_argument("--cycle-scope", choices=["ancestors", "all"], default=None,
-                   help="where to look for isomorphic earlier charts")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: NASHLAB_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
 
@@ -255,13 +249,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", None) is None:
-            env = os.environ.get("NASHLAB_JOBS", "1")
-            try:
-                args.jobs = int(env)
-            except ValueError:
-                raise CliError(f"NASHLAB_JOBS must be an integer, got {env!r}")
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise CliError("--jobs must be at least 1")
         return args.func(args)
     except CliError as e:

@@ -1,10 +1,14 @@
-"""Iterated (normalized) Nash blowup over a chart tree.
+"""Iterated (normalized) Nash blowup over the graph of chart isomorphism
+classes.
 
-Breadth-first expansion with three leaf verdicts: ``Smooth`` (chart is
-nonsingular), ``Cycle`` (chart is equivariantly isomorphic to an earlier
-chart, with a verified unimodular certificate), and ``DepthLimit`` (depth or
-node budget exhausted).  A cycle back to a strict ancestor certifies that
-the iteration never terminates along that branch.
+Isomorphic charts have isomorphic futures, so only the first chart of each
+isomorphism class is expanded.  Breadth-first expansion ends in three leaf
+verdicts: ``Smooth`` (chart is nonsingular), ``Cycle`` (chart is
+equivariantly isomorphic to an earlier chart, its class representative,
+with a verified unimodular certificate), and ``DepthLimit`` (depth or node
+budget exhausted, or an empty ideal).  The class graph has the edges
+parent -> child plus Cycle leaf -> representative; a Cycle leaf that this
+graph leads back to certifies that the iteration never terminates.
 """
 from __future__ import annotations
 
@@ -34,13 +38,10 @@ class RunConfig:
     characteristic: int = 0
     normalized: bool = False
     max_depth: int | None = None
-    cycle_scope: str = "all"
     max_nodes: int = 500
 
     def __post_init__(self):
         validate_characteristic(self.characteristic)
-        if self.cycle_scope not in ("all", "ancestors"):
-            raise ValueError("cycle_scope must be 'all' or 'ancestors'")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         if self.max_nodes < 1:
@@ -55,17 +56,17 @@ class IterationNode:
     depth: int
     base_exponent: tuple | None = None
     unit_rank: int = 0
-    vertex: bool | None = None
     verdict: str | None = None
     cycle_target: int | None = None
-    is_ancestor_cycle: bool = False
+    closes_cycle: bool = False
     certificate: object = None
     annotation: str | None = None
     children: list = field(default_factory=list)
 
 
 class IterationTree:
-    """Result of :func:`run`: the explored chart tree plus its verdict."""
+    """Result of :func:`run`: the explored chart tree, whose Cycle leaves
+    point at their class representatives, plus its verdict."""
 
     def __init__(self, nodes, config, root_max_depth):
         self.nodes = nodes
@@ -74,13 +75,14 @@ class IterationTree:
 
     @property
     def verdict_summary(self) -> str:
-        """``CounterexampleCycle`` when some chart cycles back to a strict
-        ancestor, ``Resolved`` when every leaf is smooth, else
+        """``CounterexampleCycle`` when some Cycle leaf closes a cycle of the
+        class graph, ``Resolved`` when every leaf is ``Smooth`` or ``Cycle``
+        (the class graph is then acyclic with smooth sinks), else
         ``Inconclusive``."""
         leaves = [n for n in self.nodes if n.verdict is not None]
-        if any(n.verdict == "Cycle" and n.is_ancestor_cycle for n in leaves):
+        if any(n.closes_cycle for n in leaves):
             return "CounterexampleCycle"
-        if leaves and all(n.verdict == "Smooth" for n in leaves):
+        if leaves and all(n.verdict in ("Smooth", "Cycle") for n in leaves):
             return "Resolved"
         return "Inconclusive"
 
@@ -106,7 +108,6 @@ class IterationTree:
                 "characteristic": self.config.characteristic,
                 "normalized": self.config.normalized,
                 "max_depth": self.max_depth,
-                "cycle_scope": self.config.cycle_scope,
                 "max_nodes": self.config.max_nodes,
             },
             "verdict": self.verdict_summary,
@@ -122,7 +123,7 @@ class IterationTree:
                         "depth": n.depth,
                         "cycle_target": n.cycle_target,
                         "target_depth": self.nodes[n.cycle_target].depth,
-                        "ancestor": n.is_ancestor_cycle,
+                        "closes_cycle": n.closes_cycle,
                         "certificate": [list(r) for r in n.certificate.matrix],
                     }
                 )
@@ -143,13 +144,11 @@ class IterationTree:
             rec["base_exponent"] = list(n.base_exponent)
         if n.unit_rank:
             rec["unit_rank"] = n.unit_rank
-        if n.vertex is not None:
-            rec["vertex"] = n.vertex
         if n.verdict is not None:
             rec["verdict"] = n.verdict
         if n.cycle_target is not None:
             rec["cycle_target"] = n.cycle_target
-            rec["ancestor_cycle"] = n.is_ancestor_cycle
+            rec["closes_cycle"] = n.closes_cycle
             rec["certificate"] = [list(r) for r in n.certificate.matrix]
         if n.annotation is not None:
             rec["annotation"] = n.annotation
@@ -188,24 +187,33 @@ def _expand_worker(args):
     return ("ok", [(c.base_exponent, c.semigroup) for c in charts])
 
 
-def _ancestors(nodes, node):
-    out = []
-    cur = node.parent
-    while cur is not None:
-        out.append(cur)
-        cur = nodes[cur].parent
-    return out
+def _mark_closed_cycles(nodes) -> None:
+    """Set ``closes_cycle`` on every Cycle leaf whose target reaches the leaf
+    again along the edges parent -> child and Cycle leaf -> target."""
+    for leaf in nodes:
+        if leaf.verdict != "Cycle":
+            continue
+        seen, stack = set(), [leaf.cycle_target]
+        while stack and leaf.id not in seen:
+            nid = stack.pop()
+            if nid not in seen:
+                seen.add(nid)
+                stack.extend(nodes[nid].children)
+                if nodes[nid].cycle_target is not None:
+                    stack.append(nodes[nid].cycle_target)
+        leaf.closes_cycle = leaf.id in seen
 
 
 def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -> IterationTree:
     """Iterate the (normalized) Nash blowup from ``root`` breadth-first.
 
-    Within each level, nodes are first classified (smooth / cycle / out of
-    budget) and only then expanded, so sibling order never affects verdicts;
-    cycle candidates are the strict ancestors nearest-first, followed (with
-    ``cycle_scope='all'``) by all previously classified nodes in id order.
-    Children enter the next level sorted by invariant key then generators.
-    The result is byte-identical for any ``jobs`` value.
+    Within each level, nodes are first classified in id order and only then
+    expanded.  A smooth chart is a ``Smooth`` leaf.  A chart isomorphic to
+    the representative of an earlier class (sibling, cousin or ancestor)
+    is a ``Cycle`` leaf pointing at it and is not expanded.  Any other chart
+    becomes its class's representative and is expanded unless a budget
+    stops it.  Children enter the next level sorted by invariant key then
+    generators.  The result is byte-identical for any ``jobs`` value.
     """
     if config is None:
         config = RunConfig()
@@ -218,7 +226,7 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
         )
     nodes = [IterationNode(id=0, semigroup=pointed, parent=None, depth=0, unit_rank=unit_rank)]
     level = [0]
-    visited = []  # classified in earlier levels, for cycle_scope="all"
+    classes = {}  # invariant_key -> ids of the class representatives
     pool = None
     if jobs > 1:
         pool = multiprocessing.Pool(processes=jobs)
@@ -231,26 +239,17 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
                 if is_smooth(sg):
                     node.verdict = "Smooth"
                     continue
-                anc = _ancestors(nodes, node)
-                targets = list(anc)
-                if config.cycle_scope == "all":
-                    targets += [v for v in visited if v not in set(anc)]
-                key = invariant_key(sg)
-                found = False
-                for t in targets:
-                    other = nodes[t].semigroup
-                    if invariant_key(other) != key:
-                        continue
-                    cert = isomorphic(sg, other)
+                reps = classes.setdefault(invariant_key(sg), [])
+                for t in reps:
+                    cert = isomorphic(sg, nodes[t].semigroup)
                     if cert is not None:
                         node.verdict = "Cycle"
                         node.cycle_target = t
-                        node.is_ancestor_cycle = t in set(anc)
                         node.certificate = cert
-                        found = True
                         break
-                if found:
+                if node.verdict == "Cycle":
                     continue
+                reps.append(nid)
                 if node.depth >= max_depth:
                     node.verdict = "DepthLimit"
                     node.annotation = "depth limit reached"
@@ -288,12 +287,10 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
                         parent=nid,
                         depth=node.depth + 1,
                         base_exponent=base,
-                        vertex=True,
                     )
                     nodes.append(child)
                     node.children.append(child.id)
                     next_level.append(child.id)
-            visited.extend(level)
             level = next_level
     finally:
         if pool is not None:
@@ -305,4 +302,5 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
             target = nodes[node.cycle_target].semigroup
             if not node.certificate.verify(node.semigroup, target):
                 raise AssertionError("stored cycle certificate failed re-verification")
+    _mark_closed_cycles(nodes)
     return IterationTree(nodes, config, max_depth)

@@ -58,7 +58,7 @@ def test_criterion_2_curves_resolve_in_characteristic_zero(capsys):
     for gens in sorted(picked):
         t = run(
             numerical(list(gens)),
-            RunConfig(characteristic=0, cycle_scope="ancestors", max_depth=25),
+            RunConfig(characteristic=0, max_depth=25),
         )
         assert t.verdict_summary == "Resolved", (gens, t.verdict_summary)
         assert t.stats()["depth_reached"] <= 25
@@ -78,7 +78,7 @@ def test_criterion_3_normal_toric_surfaces_resolve_in_all_characteristics(capsys
                     continue
                 t = run(
                     cyclic_quotient(a, b),
-                    RunConfig(characteristic=ch, normalized=True, cycle_scope="ancestors"),
+                    RunConfig(characteristic=ch, normalized=True),
                 )
                 assert t.verdict_summary == "Resolved", (a, b, ch, t.verdict_summary)
                 count += 1
@@ -98,7 +98,7 @@ def test_criterion_4_rebassoo_family_resolves(capsys):
                     continue
                 t = run(
                     rebassoo(p, q, r),
-                    RunConfig(characteristic=0, cycle_scope="ancestors", max_depth=25),
+                    RunConfig(characteristic=0, max_depth=25),
                 )
                 assert t.verdict_summary == "Resolved", (p, q, r, t.verdict_summary)
                 assert t.stats()["depth_reached"] <= 25
@@ -120,8 +120,8 @@ def test_criterion_5_counterexample_cycles_at_depth_one(capsys):
     assert any(c.rank == 4 and isomorphic(c, x) is not None for c in step)
     tree = run(x, RunConfig(characteristic=0, max_depth=1))
     assert tree.verdict_summary == "CounterexampleCycle"
-    cycle = next(n for n in tree.nodes if n.verdict == "Cycle")
-    assert cycle.depth == 1 and cycle.cycle_target == 0 and cycle.is_ancestor_cycle
+    cycle = next(n for n in tree.nodes if n.closes_cycle)
+    assert cycle.depth == 1 and cycle.cycle_target == 0
     cert = cycle.certificate
     assert abs(determinant([list(r) for r in cert.matrix])) == 1
     assert cert.verify(cycle.semigroup, tree.nodes[0].semigroup)

@@ -1,11 +1,18 @@
-"""Iteration driver: verdicts, cycle scopes, budgets, determinism, DOT and
-JSON serialization."""
+"""Iteration driver: verdicts on the class graph, budgets, determinism,
+coordinate invariance, DOT and JSON serialization."""
 import random
 
 import pytest
 
-from nashlab.families import counterexample_x, cyclic_quotient, numerical
-from nashlab.iterate import IterationTree, RunConfig, default_max_depth, run
+from nashlab.families import counterexample_x, cyclic_quotient, numerical, rebassoo, reeve
+from nashlab.iterate import (
+    IterationNode,
+    IterationTree,
+    RunConfig,
+    _mark_closed_cycles,
+    default_max_depth,
+    run,
+)
 from nashlab.semigroups import AffineSemigroup, canonicalize
 
 from .helpers import scramble
@@ -14,8 +21,6 @@ from .helpers import scramble
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(characteristic=4)
-    with pytest.raises(ValueError):
-        RunConfig(cycle_scope="everything")
     with pytest.raises(ValueError):
         RunConfig(max_depth=-1)
     with pytest.raises(ValueError):
@@ -42,7 +47,7 @@ def test_cusp_cycles_at_depth_one_in_characteristic_two():
     leaf = tree.nodes[1]
     assert leaf.verdict == "Cycle"
     assert leaf.cycle_target == 0
-    assert leaf.is_ancestor_cycle
+    assert leaf.closes_cycle
     assert leaf.certificate.verify(leaf.semigroup, tree.nodes[0].semigroup)
 
 
@@ -60,18 +65,72 @@ def test_root_with_units_gets_quotient_and_unit_rank():
     assert tree.verdict_summary == "Resolved"
 
 
-def test_cycle_scope_changes_cross_branch_verdicts():
-    """Scope 'ancestors' lets repeated cousin charts run to smoothness;
-    scope 'all' reports them as (non-ancestor) cycles instead."""
-    s = cyclic_quotient(4, 9)
-    anc = run(s, RunConfig(characteristic=0, normalized=True, cycle_scope="ancestors"))
-    assert anc.verdict_summary == "Resolved"
-    allv = run(s, RunConfig(characteristic=0, normalized=True, cycle_scope="all"))
-    assert allv.verdict_summary == "Inconclusive"
-    cycles = [n for n in allv.nodes if n.verdict == "Cycle"]
-    assert cycles and all(not n.is_ancestor_cycle for n in cycles)
-    for n in cycles:
-        assert n.certificate.verify(n.semigroup, allv.nodes[n.cycle_target].semigroup)
+# Runs whose charts repeat across branches without closing a cycle.
+CROSS_BRANCH_RUNS = [
+    (cyclic_quotient(a, 9), RunConfig(characteristic=ch, normalized=True))
+    for a in (4, 7, 8)
+    for ch in (0, 2, 3, 5)
+] + [
+    (rebassoo(*params), RunConfig(characteristic=0, max_depth=25))
+    for params in ((1, 4, 3), (4, 1, 3))
+]
+
+
+def test_repeated_cousin_charts_resolve():
+    """A chart isomorphic to an earlier non-ancestor chart is a Cycle leaf
+    into a class that resolves, so these runs are Resolved, with at least
+    one such leaf each and every certificate verified."""
+    for s, cfg in CROSS_BRANCH_RUNS:
+        tree = run(s, cfg)
+        assert tree.verdict_summary == "Resolved", (s.generators, cfg)
+        cycles = [n for n in tree.nodes if n.verdict == "Cycle"]
+        assert cycles and not any(n.closes_cycle for n in cycles)
+        for n in cycles:
+            assert n.certificate.verify(n.semigroup, tree.nodes[n.cycle_target].semigroup)
+
+
+def _hand_graph(children, aliases):
+    nodes = [IterationNode(id=i, semigroup=None, parent=None, depth=0) for i in range(len(children))]
+    for i, kids in enumerate(children):
+        nodes[i].children = list(kids)
+        for k in kids:
+            nodes[k].parent = i
+    for leaf, target in aliases.items():
+        nodes[leaf].verdict = "Cycle"
+        nodes[leaf].cycle_target = target
+    return nodes
+
+
+def test_cycle_that_crosses_branches_is_closed():
+    """0 -> {1, 2}, 1 -> 3, 2 -> 4, with 3 aliasing 2 and 4 aliasing 1: the
+    only cycle, 1 -> 3 -> 2 -> 4 -> 1, runs through both branches.  Leaf 5
+    aliases 2 as well but nothing leads back to it."""
+    nodes = _hand_graph([[1, 2, 5], [3], [4], [], [], []], {3: 2, 4: 1, 5: 2})
+    _mark_closed_cycles(nodes)
+    assert [n.closes_cycle for n in nodes] == [False, False, False, True, True, False]
+    nodes = _hand_graph([[1], [2], []], {2: 0})
+    _mark_closed_cycles(nodes)
+    assert nodes[2].closes_cycle
+
+
+def test_verdicts_and_stats_do_not_depend_on_coordinates():
+    """The first chart of a class becomes its representative; which chart
+    that is must not change verdicts or stats under a change of lattice
+    coordinates and a reordering of the generators."""
+    corpus = CROSS_BRANCH_RUNS + [
+        (numerical([2, 3]), RunConfig(characteristic=2)),
+        (reeve(2), RunConfig(characteristic=2, max_depth=3, max_nodes=200)),
+        (reeve(2), RunConfig(characteristic=3, max_depth=3, max_nodes=200)),
+    ]
+    rng = random.Random(907)
+    for s, cfg in corpus:
+        tree = run(s, cfg)
+        for _ in range(2):
+            gens = list(scramble(s, rng).generators)
+            rng.shuffle(gens)
+            moved = run(canonicalize(gens), cfg)
+            assert moved.verdict_summary == tree.verdict_summary, (s.generators, cfg)
+            assert moved.stats() == tree.stats(), (s.generators, cfg)
 
 
 def test_depth_limit_and_annotation():
@@ -111,12 +170,14 @@ def test_tree_json_shape():
     doc = tree.to_json_dict(full=True)
     assert doc["verdict"] == "CounterexampleCycle"
     assert doc["config"]["characteristic"] == 2
-    assert doc["cycles"][0]["node"] == 1
-    assert doc["cycles"][0]["ancestor"] is True
-    assert len(doc["cycles"][0]["certificate"]) == 1
+    closing = [c for c in doc["cycles"] if c["closes_cycle"]]
+    assert closing[0]["node"] == 1
+    assert len(closing[0]["certificate"]) == 1
     nodes = doc["nodes"]
     assert nodes[0]["id"] == 0 and nodes[0]["parent"] is None
     assert nodes[1]["parent"] == 0 and nodes[1]["verdict"] == "Cycle"
+    assert nodes[1]["closes_cycle"] is True and "vertex" not in nodes[1]
+    assert set(doc["config"]) == {"characteristic", "normalized", "max_depth", "max_nodes"}
     slim = tree.to_json_dict(full=False)
     assert "nodes" not in slim
 
@@ -146,7 +207,7 @@ def test_children_are_sorted_deterministically():
 def test_verdict_priority_smooth_over_cycle():
     """A chart that is smooth is never reported as a cycle even when an
     isomorphic smooth chart was seen before."""
-    tree = run(cyclic_quotient(1, 2), RunConfig(characteristic=0, cycle_scope="all"))
+    tree = run(cyclic_quotient(1, 2), RunConfig(characteristic=0))
     smooth_nodes = [n for n in tree.nodes if n.verdict == "Smooth"]
     assert len(smooth_nodes) >= 2
     assert all(n.verdict != "Cycle" for n in tree.nodes if n.verdict == "Smooth")

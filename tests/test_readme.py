@@ -19,5 +19,5 @@ def test_readme_library_example_runs():
     assert len(namespace["charts"]) == 11
     tree = namespace["tree"]
     assert tree.verdict_summary == "CounterexampleCycle"
-    assert len(tree.nodes) == 74
+    assert len(tree.nodes) == 72
     assert out.getvalue().splitlines()[0] == "CounterexampleCycle"
