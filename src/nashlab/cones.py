@@ -9,14 +9,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from .intlinalg import (
+    adjugate,
     determinant,
     dot,
     hermite_normal_form,
-    invert_unimodular,
     kernel_basis,
     primitive,
     smith_normal_form,
-    solve_rational,
     vneg,
 )
 
@@ -123,6 +122,7 @@ class Cone:
             if len(g) != rank:
                 raise ValueError("generator has wrong dimension")
         self._dual = None
+        self._lineality = None
 
     def _dual_description(self):
         if self._dual is None:
@@ -144,13 +144,16 @@ class Cone:
 
     def lineality_basis(self):
         """Saturated lattice basis of the lineality space (empty if pointed)."""
-        rows = list(self.facets) + list(self.span_equations)
-        if not rows:
-            return tuple(
-                tuple(1 if i == j else 0 for j in range(self.rank))
-                for i in range(self.rank)
-            )
-        return tuple(kernel_basis(rows))
+        if self._lineality is None:
+            rows = list(self.facets) + list(self.span_equations)
+            if rows:
+                self._lineality = tuple(kernel_basis(rows))
+            else:
+                self._lineality = tuple(
+                    tuple(1 if i == j else 0 for j in range(self.rank))
+                    for i in range(self.rank)
+                )
+        return self._lineality
 
     @property
     def is_pointed(self):
@@ -178,23 +181,27 @@ def _parallelepiped_points(rays, rank):
     """Nonzero lattice points of the half-open parallelepiped spanned by
     ``rank`` linearly independent rays, via Smith normal form of the ray
     matrix (one representative per residue class of Z^rank modulo the ray
-    sublattice)."""
+    sublattice).
+
+    A representative ``g`` is moved into the parallelepiped as
+    ``g - V * floor(V^-1 g)``, with ``V^-1 = adj / det`` and ``det > 0``.
+    """
     V = [[rays[j][i] for j in range(rank)] for i in range(rank)]  # columns = rays
-    if abs(determinant(V)) == 1:
+    adj, det = adjugate(V)
+    if det == 1:
         return []
     S, P, _ = smith_normal_form(V)
-    Pinv = invert_unimodular(P)
+    Pinv, det_p = adjugate(P)
+    if det_p != 1:
+        raise AssertionError("Smith transform must be unimodular")
     points = set()
     reps = [[]]
     for i in range(rank):
         reps = [r + [c] for r in reps for c in range(S[i][i])]
     for rep in reps:
         g = [sum(Pinv[i][j] * rep[j] for j in range(rank)) for i in range(rank)]
-        t = solve_rational(V, g)
-        frac = [x - (x.numerator // x.denominator) for x in t]  # in [0, 1)
-        x = tuple(
-            int(sum(V[i][j] * frac[j] for j in range(rank))) for i in range(rank)
-        )
+        q = [dot(row, g) // det for row in adj]
+        x = tuple(gi - dot(row, q) for gi, row in zip(g, V))
         if any(x):
             points.add(x)
     return sorted(points)

@@ -261,14 +261,30 @@ def solve_rational(A, b):
     return tuple(x)
 
 
-def invert_unimodular(U):
-    """Exact integer inverse of a unimodular matrix."""
-    n = len(U)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_rational(U, e)
-        if any(v.denominator != 1 for v in x):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(v) for v in x])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def adjugate(m):
+    """Integer ``(adj, det)`` with ``m * adj = adj * m = det * I`` and
+    ``det = |det(m)| > 0``; raises ``ValueError`` on a singular matrix.
+
+    Fraction-free Gauss-Jordan (Bareiss) on ``[m | I]``: every division is
+    exact, the left block ends as ``p * I`` with ``p = ±det(m)`` and the
+    right block as ``p * m^-1``; both are multiplied by the sign of ``p``.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("adjugate needs a square matrix")
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        rk = a[k]
+        p = rk[k]
+        for i, ri in enumerate(a):
+            if i != k:
+                f = ri[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[n:]] for row in a], sign * prev

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .cones import Cone
 from .intlinalg import (
+    adjugate,
     determinant,
     dot,
     hermite_normal_form,
@@ -48,6 +49,7 @@ class AffineSemigroup:
         self.generators = gens
         self._cone = None
         self._functional = None
+        self._graded = None
         self._member_cache = {}
         self._mingens = _minimal
         self._key = None
@@ -122,7 +124,9 @@ class AffineSemigroup:
         if hit is not None:
             return hit
         ell = self.positive_functional()
-        graded = sorted((dot(ell, g), g) for g in self.generators)
+        if self._graded is None:
+            self._graded = sorted((dot(ell, g), g) for g in self.generators)
+        graded = self._graded
         cone = self.cone
         stack = [[v, None, 0]]
         while stack:
@@ -331,7 +335,7 @@ def isomorphic(a: AffineSemigroup, b: AffineSemigroup):
     if len(anchor) < d:
         return None  # minimal generators do not span: cannot happen for canonical pointed inputs
     A_cols = [[anchor[j][i] for j in range(d)] for i in range(d)]
-    det_a = abs(determinant(A_cols))
+    adj, det_a = adjugate(A_cols)
     anchor_vals = [dot(ella, g) for g in anchor]
     by_val = {}
     for g in mb:
@@ -346,15 +350,16 @@ def isomorphic(a: AffineSemigroup, b: AffineSemigroup):
         B_cols = [[pick[j][i] for j in range(d)] for i in range(d)]
         if abs(determinant(B_cols)) != det_a:
             return None
-        # U * anchor_j = pick_j for all j: solve A^T u_t = (pick values) per row
-        At = [[A_cols[j][i] for j in range(d)] for i in range(d)]
+        # U * anchor_j = pick_j for all j: U = B * adj / det_a, if integral
         rows = []
         for t in range(d):
-            rhs = [pick[j][t] for j in range(d)]
-            x = solve_rational(At, rhs)
-            if any(c.denominator != 1 for c in x):
-                return None
-            rows.append(tuple(int(c) for c in x))
+            row = []
+            for k in range(d):
+                q, r = divmod(sum(pick[j][t] * adj[j][k] for j in range(d)), det_a)
+                if r:
+                    return None
+                row.append(q)
+            rows.append(tuple(row))
         if abs(determinant([list(r) for r in rows])) != 1:
             return None
         image = {tuple(dot(r, g) for r in rows) for g in source_set}

@@ -8,7 +8,7 @@ ground-level primitive (Hermite form), never for the logic under test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from nashlab.intlinalg import hermite_normal_form
@@ -87,6 +87,27 @@ def frac_det(m):
                 f = a[i][c] / inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+def brute_parallelepiped_points(rays, rank):
+    """Nonzero lattice points ``sum t_j rays[j]`` with every ``t_j`` in
+    [0, 1): every point of the rays' bounding box is solved for ``t`` with a
+    Fraction inverse of the ray matrix."""
+    aug = [
+        [rays[j][i] for j in range(rank)] + [int(i == k) for k in range(rank)]
+        for i in range(rank)
+    ]
+    inverse = [row[rank:] for row in frac_rref(aug)[0]]
+    box = [
+        range(sum(min(0, r[i]) for r in rays), sum(max(0, r[i]) for r in rays) + 1)
+        for i in range(rank)
+    ]
+    points = []
+    for x in product(*box):
+        t = [sum(a * b for a, b in zip(row, x)) for row in inverse]
+        if any(x) and all(0 <= c < 1 for c in t):
+            points.append(x)
+    return points
 
 
 def brute_dual_rays(vecs, rank):

@@ -7,6 +7,7 @@ import pytest
 from nashlab.cones import (
     Cone,
     DegenerateConeError,
+    _parallelepiped_points,
     dual_rays,
     hilbert_basis,
     saturate,
@@ -17,6 +18,8 @@ from .helpers import (
     _lattice_contains,
     brute_dual_rays,
     brute_hilbert_basis,
+    brute_parallelepiped_points,
+    frac_det,
     rand_unimodular,
     apply_matrix,
 )
@@ -157,6 +160,23 @@ def test_hilbert_basis_matches_box_oracle():
         assert all(all(abs(x) <= bound for x in h) for h in hb)
         assert list(hb) == oracle
         done += 1
+
+
+def test_parallelepiped_points_match_fraction_oracle():
+    rng = random.Random(405)
+    done = {2: 0, 3: 0, 4: 0}
+    while min(done.values()) < 8:
+        d = rng.choice([k for k, n in done.items() if n < 8])
+        rays = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d)]
+        det = frac_det([[r[i] for r in rays] for i in range(d)])
+        if det == 0 or abs(det) > 30:
+            continue
+        swapped = [rays[1], rays[0]] + rays[2:]  # the opposite sign of the determinant
+        for order in (rays, swapped):
+            points = _parallelepiped_points(order, d)
+            assert points == brute_parallelepiped_points(order, d)
+            assert len(points) == abs(det) - 1
+        done[d] += 1
 
 
 def test_hilbert_basis_rejects_bad_cones():

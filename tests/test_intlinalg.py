@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nashlab.intlinalg import (
     NoSolution,
     Underdetermined,
+    adjugate,
     determinant,
     dot,
     hermite_normal_form,
-    invert_unimodular,
     kernel_basis,
     primitive,
     smith_normal_form,
@@ -195,20 +197,44 @@ def test_solve_rational_underdetermined_carries_kernel():
         assert dot([1, 1, 0], v) == 0
 
 
-def test_invert_unimodular_round_trip():
-    rng = random.Random(109)
-    for _ in range(30):
-        d = rng.randint(1, 5)
-        u = rand_unimodular(rng, d)
-        w = invert_unimodular(u)
-        eye = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        assert mat_mul(u, w) == eye
-        assert mat_mul(w, u) == eye
+SQUARE_MATRICES = st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=d, max_size=d)
+)
 
 
-def test_invert_unimodular_rejects_singular():
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(SQUARE_MATRICES)
+def test_adjugate_scales_the_identity_by_a_positive_determinant(m):
+    det_m = determinant(m)
+    assume(det_m != 0)
+    d = len(m)
+    flipped = [[-x for x in m[0]]] + m[1:]  # the opposite sign of the determinant
+    for mat in (m, flipped):
+        adj, det = adjugate(mat)
+        assert det == abs(det_m)
+        scaled = [[det if i == j else 0 for j in range(d)] for i in range(d)]
+        assert mat_mul(mat, adj) == scaled
+        assert mat_mul(adj, mat) == scaled
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.randoms(use_true_random=False))
+def test_adjugate_of_a_unimodular_matrix_is_its_inverse(d, rng):
+    u = rand_unimodular(rng, d)
+    w, det = adjugate(u)
+    eye = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    assert det == 1
+    assert mat_mul(u, w) == eye
+    assert mat_mul(w, u) == eye
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(SQUARE_MATRICES, st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_adjugate_rejects_singular(m, coeffs):
+    # the last row becomes a combination of the others (a zero row for d = 1)
+    m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m[:-1])) for j in range(len(m))]
     with pytest.raises(ValueError):
-        invert_unimodular([[2, 0], [0, 1]])
+        adjugate(m)
 
 
 def test_primitive():

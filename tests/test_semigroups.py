@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import nashlab.cones
+from nashlab.families import from_preset
 from nashlab.semigroups import (
     AffineSemigroup,
     IsoCertificate,
@@ -252,6 +254,32 @@ def test_pickle_round_trip_preserves_value():
     assert t == s
     assert t.minimal_generators() == s.minimal_generators()
     assert t.member((2, 2)) == s.member((2, 2))
+
+
+def test_lineality_and_graded_generators_are_computed_once(monkeypatch):
+    kernels, cones = [], []
+    kernel_basis, cone_init = nashlab.cones.kernel_basis, nashlab.cones.Cone.__init__
+
+    def counted_kernel_basis(m):
+        kernels.append(m)
+        return kernel_basis(m)
+
+    def counted_init(self, *args):
+        cones.append(self)
+        cone_init(self, *args)
+
+    monkeypatch.setattr(nashlab.cones, "kernel_basis", counted_kernel_basis)
+    monkeypatch.setattr(nashlab.cones.Cone, "__init__", counted_init)
+    s = from_preset("cdll")
+    s.minimal_generators()
+    assert cones and len(kernels) <= len(cones)
+    # the caches are not pickled: a loaded copy rebuilds them
+    probes = [tuple(a + b for a, b in zip(g, h)) for g in s.generators for h in s.generators]
+    probes += [tuple(a - b for a, b in zip(g, h)) for g in s.generators for h in s.generators]
+    expected = [s.member(v) for v in probes]
+    t = pickle.loads(pickle.dumps(s))
+    assert [t.member(v) for v in probes] == expected
+    assert any(expected) and not all(expected)
 
 
 def test_positive_functional_separates():
