@@ -101,21 +101,7 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Inclusion-minimal exponent set generating the same monomial ideal:
     drop m whenever m ∈ m' + Γ for another exponent m'."""
     s = ideal.ambient
-    ell = s.positive_functional()
-    order = sorted(ideal.exponents, key=lambda m: (dot(ell, m), m))
-    kept = []
-    for m in order:
-        em = dot(ell, m)
-        reducible = False
-        for m2 in kept:
-            if dot(ell, m2) >= em:
-                break
-            if s.member(vsub(m, m2)):
-                reducible = True
-                break
-        if not reducible:
-            kept.append(m)
-    return MonomialIdeal(ambient=s, exponents=tuple(sorted(kept)))
+    return MonomialIdeal(ambient=s, exponents=s.minimal_elements(ideal.exponents))
 
 
 def blowup_charts(ideal: MonomialIdeal) -> list:

@@ -7,6 +7,7 @@ integer generator vectors; the facet description is computed lazily.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import sub
 
 from .intlinalg import (
     adjugate,
@@ -137,6 +138,11 @@ class Cone:
     def span_equations(self):
         return self._dual_description()[1]
 
+    def slack(self, x):
+        """Facet values ``(f·x for f in facets)``: x is in the cone iff all
+        are ≥ 0 and x satisfies the span equations."""
+        return tuple(dot(f, x) for f in self.facets)
+
     def contains(self, x):
         return all(dot(f, x) >= 0 for f in self.facets) and all(
             dot(e, x) == 0 for e in self.span_equations
@@ -213,8 +219,10 @@ def hilbert_basis(cone):
 
     Candidates are gathered from the half-open parallelepipeds of every
     linearly independent rank-subset of the extreme rays (every point of the
-    cone lies in such a simplicial subcone), then reduced: x is discarded
-    when x - y lies back in the cone for some other candidate y.
+    cone lies in such a simplicial subcone), then reduced in order of
+    degree (the sum of the facet values, positive on the cone minus 0): x
+    is discarded when x - y lies in the cone for a kept candidate y of
+    lower degree, which is a comparison of facet values.
     """
     if not cone.generators:
         raise DegenerateConeError("cone has no nonzero generators")
@@ -230,20 +238,12 @@ def hilbert_basis(cone):
         if determinant(M) == 0:
             continue
         cands.update(_parallelepiped_points(subset, d))
-    cands = sorted(cands)
-    basis = []
-    for x in cands:
-        reducible = False
-        for y in cands:
-            if y == x:
-                continue
-            diff = tuple(a - b for a, b in zip(x, y))
-            if any(diff) and cone.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(x)
-    return tuple(basis)
+    slack = cone.slack
+    kept = []  # x - y is in the cone iff slack(x) >= slack(y) entrywise
+    for deg, x, sx in sorted((sum(s), x, s) for x, s in zip(cands, map(slack, cands))):
+        if not any(dy < deg and min(map(sub, sx, sy)) >= 0 for dy, _, sy in kept):
+            kept.append((deg, x, sx))
+    return tuple(sorted(x for _, x, _ in kept))
 
 
 def saturate(generators, rank):

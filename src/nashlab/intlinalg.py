@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul, sub
 
 
 class NoSolution(Exception):
@@ -23,11 +24,11 @@ class Underdetermined(Exception):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import sub
 
 from .cones import Cone
 from .intlinalg import (
@@ -108,9 +109,15 @@ class AffineSemigroup:
     def member(self, v) -> bool:
         """Whether v is an N-combination of the generators.
 
-        Depth-first search over v minus partial sums, pruned by cone
-        containment and graded by a strictly positive functional, memoized
-        across calls.  Requires a pointed semigroup (termination bound).
+        Depth-first search in slack coordinates φ(x) = (f·x for f in
+        cone.facets), which are injective on the linear span of a pointed
+        cone and sum to the degree ℓ·x of :meth:`positive_functional`.
+        From φ(x) the search steps to φ(x) − φ(g) for generators g of
+        degree at most ℓ·x, building each child only when it reaches it: a
+        child with a negative entry has left the cone and is skipped, a
+        nonnegative child of degree 0 is 0, so x is a member.  Memoized
+        across calls by slack vector.  Requires a pointed semigroup
+        (termination bound).
         """
         v = tuple(v)
         if len(v) != self.rank:
@@ -119,61 +126,69 @@ class AffineSemigroup:
             return True
         if not self.is_pointed:
             raise NotPointedError("member requires a pointed semigroup; apply unit_quotient first")
+        cone = self.cone
+        if any(dot(e, v) for e in cone.span_equations):
+            return False
+        x = cone.slack(v)
+        if min(x) < 0:
+            return False
         cache = self._member_cache
-        hit = cache.get(v)
+        hit = cache.get(x)
         if hit is not None:
             return hit
-        ell = self.positive_functional()
         if self._graded is None:
-            self._graded = sorted((dot(ell, g), g) for g in self.generators)
+            self.positive_functional()  # certifies that degree is positive on Γ minus 0
+            self._graded = sorted((sum(s), s) for s in map(cone.slack, self.generators))
         graded = self._graded
-        cone = self.cone
-        stack = [[v, None, 0]]
+        n = len(graded)
+        stack = [[x, sum(x), 0]]  # slack, degree, next generator index
         while stack:
             frame = stack[-1]
-            x = frame[0]
-            if x in cache:
-                stack.pop()
-                continue
-            if frame[1] is None:
-                if not cone.contains(x):
-                    cache[x] = False
-                    stack.pop()
-                    continue
-                ex = dot(ell, x)
-                kids = []
-                for ev, g in graded:
-                    if ev > ex:
-                        break
-                    kids.append(vsub(x, g))
-                frame[1] = kids
-            kids = frame[1]
-            i = frame[2]
-            outcome = None
-            push = None
-            while i < len(kids):
-                y = kids[i]
-                if not any(y):
-                    outcome = True
-                    break
-                r = cache.get(y)
-                if r is True:
-                    outcome = True
-                    break
-                if r is None:
-                    push = y
+            x, deg, i = frame
+            child = None
+            while i < n:
+                dg, sg = graded[i]
+                if dg > deg:
                     break
                 i += 1
-            frame[2] = i
-            if outcome:
-                cache[x] = True
-                stack.pop()
-            elif push is not None:
-                stack.append([push, None, 0])
-            else:
+                y = tuple(map(sub, x, sg))
+                if min(y) < 0:
+                    continue
+                known = cache.get(y) if dg < deg else True
+                if known is None:
+                    child = [y, deg - dg, 0]
+                    break
+                if known:
+                    for f in stack:
+                        cache[f[0]] = True
+                    return True
+            if child is None:
                 cache[x] = False
                 stack.pop()
-        return cache[v]
+            else:
+                frame[2] = i
+                stack.append(child)
+        return False
+
+    def minimal_elements(self, elements):
+        """The elements of ``elements`` (points of Γ) that are minimal for
+        x ≼ y ⇔ y − x ∈ Γ, sorted (pointed case).
+
+        In order of (ℓ·x, x), x is dropped when x − y ∈ Γ for a kept y of
+        lower degree; a difference with a negative slack entry is outside
+        the cone and never reaches :meth:`member`.
+        """
+        self.positive_functional()  # certifies that degree is positive on Γ minus 0
+        graded = sorted((sum(s), x, s) for x, s in zip(elements, map(self.cone.slack, elements)))
+        kept = []
+        for ex, x, sx in graded:
+            if not any(
+                min(map(sub, sx, sy)) >= 0 and self.member(vsub(x, y))
+                for ey, y, sy in kept
+                if ey < ex
+            ):
+                kept.append((ex, x, sx))
+        return tuple(sorted(x for _, x, _ in kept))
 
     def minimal_generators(self):
         """The unique inclusion-minimal generating set (pointed case): the
@@ -184,21 +199,7 @@ class AffineSemigroup:
                 return self._mingens
             if not self.is_pointed:
                 raise NotPointedError("minimal generators are only unique for pointed semigroups")
-            ell = self.positive_functional()
-            order = sorted(self.generators, key=lambda g: (dot(ell, g), g))
-            kept = []
-            for g in order:
-                eg = dot(ell, g)
-                reducible = False
-                for h in kept:
-                    if dot(ell, h) >= eg:
-                        break
-                    if self.member(vsub(g, h)):
-                        reducible = True
-                        break
-                if not reducible:
-                    kept.append(g)
-            self._mingens = tuple(sorted(kept))
+            self._mingens = self.minimal_elements(self.generators)
         return self._mingens
 
 

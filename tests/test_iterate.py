@@ -113,17 +113,19 @@ def test_cycle_that_crosses_branches_is_closed():
     assert nodes[2].closes_cycle
 
 
+INVARIANCE_RUNS = CROSS_BRANCH_RUNS + [
+    (numerical([2, 3]), RunConfig(characteristic=2)),
+    (reeve(2), RunConfig(characteristic=2, max_depth=3, max_nodes=200)),
+    (reeve(2), RunConfig(characteristic=3, max_depth=3, max_nodes=200)),
+]
+
+
 def test_verdicts_and_stats_do_not_depend_on_coordinates():
     """The first chart of a class becomes its representative; which chart
     that is must not change verdicts or stats under a change of lattice
     coordinates and a reordering of the generators."""
-    corpus = CROSS_BRANCH_RUNS + [
-        (numerical([2, 3]), RunConfig(characteristic=2)),
-        (reeve(2), RunConfig(characteristic=2, max_depth=3, max_nodes=200)),
-        (reeve(2), RunConfig(characteristic=3, max_depth=3, max_nodes=200)),
-    ]
     rng = random.Random(907)
-    for s, cfg in corpus:
+    for s, cfg in INVARIANCE_RUNS:
         tree = run(s, cfg)
         for _ in range(2):
             gens = list(scramble(s, rng).generators)
@@ -131,6 +133,22 @@ def test_verdicts_and_stats_do_not_depend_on_coordinates():
             moved = run(canonicalize(gens), cfg)
             assert moved.verdict_summary == tree.verdict_summary, (s.generators, cfg)
             assert moved.stats() == tree.stats(), (s.generators, cfg)
+
+
+def test_redundant_generators_change_nothing():
+    """Adding sums of two generators presents the same semigroup, so the
+    minimal generators, the verdict and the stats stay the same."""
+    rng = random.Random(908)
+    for s, cfg in INVARIANCE_RUNS:
+        tree = run(s, cfg)
+        gens = list(s.generators)
+        sums = {tuple(a + b for a, b in zip(g, h)) for g in gens for h in gens}
+        padded = AffineSemigroup(s.rank, gens + rng.sample(sorted(sums), 3))
+        assert len(padded.generators) > len(gens)
+        assert padded.minimal_generators() == s.minimal_generators()
+        moved = run(padded, cfg)
+        assert moved.verdict_summary == tree.verdict_summary, (s.generators, cfg)
+        assert moved.stats() == tree.stats(), (s.generators, cfg)
 
 
 def test_depth_limit_and_annotation():

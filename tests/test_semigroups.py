@@ -6,7 +6,9 @@ import random
 import pytest
 
 import nashlab.cones
+from nashlab.blowup import blowup_charts, log_jacobian, minimalize
 from nashlab.families import from_preset
+from nashlab.intlinalg import kernel_basis
 from nashlab.semigroups import (
     AffineSemigroup,
     IsoCertificate,
@@ -108,6 +110,67 @@ def test_member_matches_brute_descent_rank2():
         done += 1
 
 
+def _random_pointed(rng, d):
+    """Canonical pointed semigroup of rank d: d + 2 random vectors with
+    entries in [0, 3], moved by a random unimodular matrix."""
+    while True:
+        u = rand_unimodular(rng, d)
+        raw = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(d + 2)]
+        s = canonicalize([apply_matrix(u, v) for v in raw if any(v)] or [(1,) * d])
+        if s.rank == d and s.is_pointed:
+            return s
+
+
+def _probes(s, facets, rng):
+    """Points inside the cone (sums of generators, and the same minus one
+    more generator), outside it (negated sums) and on its facets (sums of
+    generators tight at a facet, moved inside the facet hyperplane)."""
+    gens = s.generators
+    probes = []
+    for _ in range(12):
+        x = tuple(map(sum, zip(*rng.choices(gens, k=rng.randint(1, 4)))))
+        probes.append(x)
+        probes.append(tuple(a - b for a, b in zip(x, rng.choice(gens))))
+        probes.append(tuple(-a for a in x))
+    for f in facets:
+        tight = [g for g in gens if sum(a * b for a, b in zip(f, g)) == 0]
+        moves = kernel_basis([f])
+        for _ in range(4):
+            x = [0] * s.rank
+            for g in rng.choices(tight, k=rng.randint(1, 3)):
+                x = [a + b for a, b in zip(x, g)]
+            for m in moves:
+                c = rng.randint(-1, 1)
+                x = [a + c * b for a, b in zip(x, m)]
+            probes.append(tuple(x))
+    return probes
+
+
+def test_member_matches_brute_descent_ranks_3_and_4():
+    rng = random.Random(310)
+    inside = outside = on_facet = 0
+    for d in (3, 4):
+        for _ in range(6):
+            s = _random_pointed(rng, d)
+            brute = BruteSemigroup(s.generators, d)
+            for v in _probes(s, brute.facets, rng):
+                assert s.member(v) == brute.member(v), (s.generators, v)
+                slack = min(sum(a * b for a, b in zip(f, v)) for f in brute.facets)
+                inside += slack > 0
+                outside += slack < 0
+                on_facet += slack == 0 and any(v)
+    assert min(inside, outside, on_facet) > 20
+
+
+def test_member_off_the_span_of_a_lower_dimensional_semigroup():
+    s = AffineSemigroup(3, [(1, 0, 0), (1, 1, 0), (1, 2, 0)])
+    assert s.cone.span_equations
+    brute = BruteSemigroup(s.generators, 3)
+    box = [(a, b, c) for a in range(-1, 5) for b in range(-1, 5) for c in (-1, 0, 1)]
+    assert [s.member(v) for v in box] == [brute.member(v) for v in box]
+    assert s.member((3, 4, 0)) and not s.member((3, 4, 1)) and not s.member((1, 3, 0))
+
+
 def test_member_requires_pointed():
     s = AffineSemigroup(1, [(1,), (-1,)])
     with pytest.raises(NotPointedError):
@@ -119,19 +182,21 @@ def test_minimal_generators_hand_and_brute():
     assert s.minimal_generators() == ((2,), (3,))
     t = AffineSemigroup(2, [(1, 0), (0, 1), (1, 1)])
     assert t.minimal_generators() == ((0, 1), (1, 0))
-    rng = random.Random(304)
-    done = 0
-    while done < 10:
-        gens = [tuple(rng.randint(0, 4) for _ in range(2)) for _ in range(4)]
-        gens = [g for g in gens if any(g)]
-        if not gens:
-            continue
-        s = AffineSemigroup(2, gens)
-        if not s.is_pointed:
-            continue
-        brute = BruteSemigroup(s.generators, 2)
-        assert list(s.minimal_generators()) == brute.minimal_generators()
-        done += 1
+    # (rank, generators drawn, largest entry, seed)
+    for d, count, top, seed in ((2, 4, 4, 304), (3, 6, 3, 311)):
+        rng = random.Random(seed)
+        done = 0
+        while done < 10:
+            gens = [tuple(rng.randint(0, top) for _ in range(d)) for _ in range(count)]
+            gens = [g for g in gens if any(g)]
+            if not gens:
+                continue
+            s = AffineSemigroup(d, gens)
+            if not s.is_pointed:
+                continue
+            brute = BruteSemigroup(s.generators, d)
+            assert list(s.minimal_generators()) == brute.minimal_generators()
+            done += 1
 
 
 def test_unit_quotient_splits_torus_factor():
@@ -280,6 +345,28 @@ def test_lineality_and_graded_generators_are_computed_once(monkeypatch):
     t = pickle.loads(pickle.dumps(s))
     assert [t.member(v) for v in probes] == expected
     assert any(expected) and not all(expected)
+
+
+def test_membership_search_makes_no_containment_calls(monkeypatch):
+    """The search prunes on slack vectors; no frame asks Cone.contains."""
+    contains_calls, member_calls = [], []
+    contains, member = nashlab.cones.Cone.contains, AffineSemigroup.member
+
+    def counted_contains(self, x):
+        contains_calls.append(x)
+        return contains(self, x)
+
+    def counted_member(self, v):
+        member_calls.append(v)
+        return member(self, v)
+
+    charts = blowup_charts(minimalize(log_jacobian(from_preset("cdll"), 0)))
+    monkeypatch.setattr(nashlab.cones.Cone, "contains", counted_contains)
+    monkeypatch.setattr(AffineSemigroup, "member", counted_member)
+    for chart in charts:
+        AffineSemigroup(chart.semigroup.rank, chart.semigroup.generators).minimal_generators()
+    assert len(charts) > 5 and member_calls
+    assert contains_calls == []
 
 
 def test_positive_functional_separates():
