@@ -23,7 +23,6 @@ from .cones import (
     DegenerateConeError,
     dual_rays,
     hilbert_basis,
-    saturate,
 )
 from .families import (
     X_RELATIONS,
@@ -97,7 +96,6 @@ __all__ = [
     "rebassoo",
     "reeve",
     "run",
-    "saturate",
     "smith_normal_form",
     "solve_rational",
     "step_charts",

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .cones import dual_rays, saturate
-from .intlinalg import determinant, dot, hermite_normal_form, vsub
+from .cones import dual_rays
+from .intlinalg import determinant, dot, matrix_rank, vsub
 from .semigroups import AffineSemigroup, NotPointedError
 
 
@@ -131,12 +131,7 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     for e in exps:
         lift = e + (1,)
         tight = [f for f in facets if dot(f, lift) == 0]
-        if tight:
-            H, _ = hermite_normal_form(tight)
-            rk = sum(1 for row in H if any(row))
-        else:
-            rk = 0
-        if rk != d:
+        if matrix_rank(tight) != d:
             continue
         cert = tuple(sum(f[i] for f in tight) for i in range(d))
         for other in exps:
@@ -160,11 +155,8 @@ def step_charts(s: AffineSemigroup, ch, normalized: bool) -> list:
     out = []
     for chart in blowup_charts(minimalize(log_jacobian(s, ch))):
         sg = chart.semigroup
-        if normalized and sg.rank > 0:
-            basis = saturate(sg.generators, sg.rank)
-        else:
-            basis = sg.minimal_generators()
-        out.append(replace(chart, semigroup=AffineSemigroup(sg.rank, basis, _minimal=tuple(basis))))
+        sg = sg.saturation() if normalized else sg.minimal_presentation()
+        out.append(replace(chart, semigroup=sg))
     return out
 
 

@@ -13,10 +13,9 @@ import json
 import random
 import sys
 import time
-from math import gcd
+from math import comb, gcd
 
 from . import families
-from .cones import saturate
 from .iterate import RunConfig, run
 from .semigroups import from_json_dict, is_smooth
 
@@ -116,7 +115,7 @@ def cmd_describe(args) -> int:
     if args.saturate:
         if not s.is_pointed:
             raise CliError("--saturate requires a pointed semigroup")
-        doc["hilbert_basis"] = [list(g) for g in saturate(s.generators, s.rank)]
+        doc["hilbert_basis"] = [list(g) for g in s.saturation().generators]
     _emit(doc, args.pretty)
     return 0
 
@@ -147,13 +146,19 @@ def _sweep_instances(args):
         for q in range(1, args.q_max + 1):
             rows.append(((q,), families.reeve(q)))
     elif fam == "numerical":
-        if args.count < 1 or args.gen_max < 2:
-            raise CliError("--count must be >= 1 and --gen-max >= 2")
+        if args.count < 1 or args.gen_max < 3:
+            raise CliError("--count must be >= 1 and --gen-max >= 3")
+        pool = range(2, args.gen_max + 1)
+        k_max = min(4, len(pool))
+        available = sum(comb(len(pool), k) for k in range(2, k_max + 1))
+        if args.count > available:
+            raise CliError(f"--count {args.count} exceeds the {available} distinct generator "
+                           f"sets of 2 to {k_max} integers in [2, {args.gen_max}]")
         rng = random.Random(args.seed)
         seen = set()
         while len(seen) < args.count:
-            k = rng.randint(2, min(4, args.gen_max - 1))
-            gens = tuple(sorted(rng.sample(range(2, args.gen_max + 1), k)))
+            k = rng.randint(2, k_max)
+            gens = tuple(sorted(rng.sample(pool, k)))
             seen.add(gens)
         for gens in sorted(seen):
             rows.append((gens, families.numerical(list(gens))))

@@ -1,5 +1,5 @@
 """Rational polyhedral cones: generator/facet duality via the double
-description method, lineality, Hilbert bases, and saturation.
+description method, lineality, extreme rays and Hilbert bases.
 
 All cones live in an ambient lattice Z^rank and are represented exactly by
 integer generator vectors; the facet description is computed lazily.
@@ -15,6 +15,7 @@ from .intlinalg import (
     dot,
     hermite_normal_form,
     kernel_basis,
+    matrix_rank,
     primitive,
     smith_normal_form,
     vneg,
@@ -173,12 +174,7 @@ class Cone:
         out = set()
         for g in self.generators:
             tight = [f for f in self.facets if dot(f, g) == 0] + eqs
-            if tight:
-                H, _ = hermite_normal_form(tight)
-                rk = sum(1 for row in H if any(row))
-            else:
-                rk = 0
-            if rk == self.rank - 1:
+            if matrix_rank(tight) == self.rank - 1:
                 out.add(primitive(g))
         return tuple(sorted(out))
 
@@ -244,9 +240,3 @@ def hilbert_basis(cone):
         if not any(dy < deg and min(map(sub, sx, sy)) >= 0 for dy, _, sy in kept):
             kept.append((deg, x, sx))
     return tuple(sorted(x for _, x, _ in kept))
-
-
-def saturate(generators, rank):
-    """Hilbert basis of cone(generators) ∩ Z^rank (the semigroup saturation)."""
-    cone = Cone(rank, generators)
-    return hilbert_basis(cone)

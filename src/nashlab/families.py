@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from .cones import saturate
 from .intlinalg import kernel_basis
 from .semigroups import AffineSemigroup, canonicalize
 
@@ -47,8 +46,7 @@ def cyclic_quotient(a: int, b: int) -> AffineSemigroup:
         raise ValueError(f"cyclic_quotient requires 0 <= a < b, got a={a}, b={b}")
     if gcd(a, b) != 1:
         raise ValueError(f"cyclic_quotient requires gcd(a, b) = 1, got a={a}, b={b}")
-    basis = saturate([(1, 0), (a, b)], 2)
-    return AffineSemigroup(2, basis, _minimal=tuple(basis))
+    return AffineSemigroup(2, [(1, 0), (a, b)]).saturation()
 
 
 def rebassoo(p: int, q: int, r: int) -> AffineSemigroup:
@@ -70,8 +68,7 @@ def reeve(q: int) -> AffineSemigroup:
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"reeve parameter must be a positive integer, got {q!r}")
     rays = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, q, 1)]
-    basis = saturate(rays, 4)
-    return AffineSemigroup(4, basis, _minimal=tuple(basis))
+    return AffineSemigroup(4, rays).saturation()
 
 
 def counterexample_generators() -> tuple:

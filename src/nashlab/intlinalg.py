@@ -121,6 +121,12 @@ def hermite_normal_form(m):
     return H, U
 
 
+def matrix_rank(m) -> int:
+    """Rank of an integer matrix (0 for a matrix with no rows)."""
+    H, _ = hermite_normal_form(m)
+    return sum(1 for row in H if any(row))
+
+
 def smith_normal_form(m):
     """Smith normal form: ``(S, U, V)`` with ``U * m * V = S`` diagonal,
     nonnegative, and each diagonal entry dividing the next."""

@@ -220,10 +220,7 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
     max_depth = config.max_depth if config.max_depth is not None else default_max_depth(root.rank)
 
     pointed, unit_rank = unit_quotient(root)
-    if pointed.rank > 0:
-        pointed = AffineSemigroup(
-            pointed.rank, pointed.minimal_generators(), _minimal=pointed.minimal_generators()
-        )
+    pointed = pointed.minimal_presentation()
     nodes = [IterationNode(id=0, semigroup=pointed, parent=None, depth=0, unit_rank=unit_rank)]
     level = [0]
     classes = {}  # invariant_key -> ids of the class representatives

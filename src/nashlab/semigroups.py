@@ -1,6 +1,6 @@
 """Affine semigroups: canonicalization, membership, minimal generators,
-unit quotients, smoothness, and isomorphism up to unimodular change of
-lattice coordinates.
+the minimal and saturated presentations, unit quotients, smoothness, and
+isomorphism up to unimodular change of lattice coordinates.
 
 A semigroup is the set of N-combinations of finitely many integer vectors.
 After :func:`canonicalize` the generated group is the full lattice Z^rank,
@@ -12,15 +12,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
 
-from .cones import Cone
+from .cones import Cone, hilbert_basis
 from .intlinalg import (
     adjugate,
     determinant,
     dot,
     hermite_normal_form,
     kernel_basis,
+    matrix_rank,
     smith_normal_form,
     solve_rational,
+    vneg,
     vsub,
 )
 
@@ -37,7 +39,7 @@ class AffineSemigroup:
     mutate observable state.
     """
 
-    def __init__(self, rank, generators, _minimal=None):
+    def __init__(self, rank, generators):
         gens = tuple(sorted({tuple(g) for g in generators if any(g)}))
         for g in gens:
             if len(g) != rank:
@@ -52,7 +54,7 @@ class AffineSemigroup:
         self._functional = None
         self._graded = None
         self._member_cache = {}
-        self._mingens = _minimal
+        self._mingens = None
         self._key = None
 
     def __eq__(self, other):
@@ -73,7 +75,8 @@ class AffineSemigroup:
 
     def __setstate__(self, state):
         rank, gens, minimal = state
-        self.__init__(rank, gens, _minimal=minimal)
+        self.__init__(rank, gens)
+        self._mingens = minimal
 
     @property
     def cone(self):
@@ -99,12 +102,6 @@ class AffineSemigroup:
                     raise AssertionError("positive functional failed on a generator")
             self._functional = f
         return self._functional
-
-    def unit_group_generators(self):
-        """Generators lying in the lineality space of the cone; they span the
-        unit group U(Γ) = Γ ∩ (−Γ) as a lattice."""
-        cone = self.cone
-        return tuple(g for g in self.generators if cone.contains(tuple(-x for x in g)))
 
     def member(self, v) -> bool:
         """Whether v is an N-combination of the generators.
@@ -202,6 +199,23 @@ class AffineSemigroup:
             self._mingens = self.minimal_elements(self.generators)
         return self._mingens
 
+    def _presented_by(self, generators):
+        """Semigroup minimally generated by ``generators``, sharing this cone."""
+        out = AffineSemigroup(self.rank, generators)
+        out._cone = self.cone
+        out._mingens = out.generators
+        return out
+
+    def minimal_presentation(self):
+        """The same semigroup, generated by :meth:`minimal_generators`; it
+        shares this cone (pointed case)."""
+        return self._presented_by(self.minimal_generators())
+
+    def saturation(self):
+        """The saturation cone ∩ Z^rank, generated by its Hilbert basis; it
+        shares this cone (pointed, full-dimensional case)."""
+        return self._presented_by(hilbert_basis(self.cone) if self.rank else ())
+
 
 def canonicalize(gens) -> AffineSemigroup:
     """Re-coordinatize so the generated group is the full lattice.
@@ -237,11 +251,12 @@ def unit_quotient(s: AffineSemigroup):
     """Quotient by the saturation of the unit group.
 
     Returns ``(pointed_image, unit_rank)``; a pointed input comes back
-    unchanged with unit rank 0.
+    unchanged with unit rank 0.  Otherwise the generators in the lineality
+    space, a nonzero face, span the unit group U(Γ) = Γ ∩ (−Γ) as a lattice.
     """
-    units = s.unit_group_generators()
-    if not units:
+    if s.is_pointed:
         return s, 0
+    units = [g for g in s.generators if s.cone.contains(vneg(g))]
     d = s.rank
     F = kernel_basis(units)
     if F:
@@ -327,9 +342,7 @@ def isomorphic(a: AffineSemigroup, b: AffineSemigroup):
         return None
     anchor = []
     for g in ma:
-        stacked = anchor + [g]
-        H, _ = hermite_normal_form(stacked)
-        if sum(1 for row in H if any(row)) == len(stacked):
+        if matrix_rank(anchor + [g]) == len(anchor) + 1:
             anchor.append(g)
         if len(anchor) == d:
             break

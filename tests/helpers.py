@@ -346,9 +346,10 @@ def brute_charts(s, characteristic, normalized=False):
         pointed, _ = unit_quotient(sg)
         if pointed.rank > 0:
             if normalized:
-                from nashlab.cones import saturate
+                from nashlab.cones import Cone, hilbert_basis
 
-                pointed = AffineSemigroup(pointed.rank, saturate(pointed.generators, pointed.rank))
+                basis = hilbert_basis(Cone(pointed.rank, pointed.generators))
+                pointed = AffineSemigroup(pointed.rank, basis)
             else:
                 pointed = AffineSemigroup(pointed.rank, pointed.minimal_generators())
         out.append((exps[j], pointed))

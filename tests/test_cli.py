@@ -176,6 +176,20 @@ def test_sweep_invalid_ranges_exit_one(capsys):
     assert run_cli(["sweep", "mystery"], capsys)[0] == 1
 
 
+def test_sweep_numerical_rejects_unreachable_counts(capsys):
+    # range(2, 6) has C(4,2) + C(4,3) + C(4,4) = 11 sets of 2 to 4 elements
+    code, out, err = run_cli(["sweep", "numerical", "--gen-max", "5"], capsys)
+    assert code == 1 and out == ""
+    assert "--count 20 exceeds the 11 distinct generator sets" in err
+    code, out, err = run_cli(["sweep", "numerical", "--gen-max", "2"], capsys)
+    assert code == 1 and out == ""
+    assert "--gen-max >= 3" in err
+    code, out, _ = run_cli(["sweep", "numerical", "--gen-max", "5", "--count", "11"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 11 == len({tuple(r["params"]) for r in rows})
+
+
 def _strip_timing(raw):
     doc = json.loads(raw)
     doc.pop("timing_seconds", None)

@@ -10,7 +10,6 @@ from nashlab.cones import (
     _parallelepiped_points,
     dual_rays,
     hilbert_basis,
-    saturate,
 )
 from nashlab.intlinalg import dot
 
@@ -189,16 +188,16 @@ def test_hilbert_basis_rejects_bad_cones():
 
 
 def test_saturate_idempotent_and_examples():
-    assert saturate([(2,), (3,)], 1) == ((1,),)
-    hb = saturate([(1, 0), (1, 2)], 2)
+    assert hilbert_basis(Cone(1, [(2,), (3,)])) == ((1,),)
+    hb = hilbert_basis(Cone(2, [(1, 0), (1, 2)]))
     assert hb == ((1, 0), (1, 1), (1, 2))
-    assert saturate(hb, 2) == hb
+    assert hilbert_basis(Cone(2, hb)) == hb
     rng = random.Random(205)
     for _ in range(10):
         u = rand_unimodular(rng, 2)
         gens = [apply_matrix(u, g) for g in [(1, 0), (2, 3)]]
-        hb = saturate(gens, 2)
-        assert saturate(hb, 2) == hb
+        hb = hilbert_basis(Cone(2, gens))
+        assert hilbert_basis(Cone(2, hb)) == hb
 
 
 def test_saturate_contains_generators():
@@ -210,7 +209,7 @@ def test_saturate_contains_generators():
         c = Cone(d, gens)
         if not c.generators or not c.is_pointed or c.span_equations:
             continue
-        hb = saturate(c.generators, d)
+        hb = hilbert_basis(Cone(d, c.generators))
         sat = Cone(d, hb)
         for g in c.generators:
             assert sat.contains(g)

@@ -15,12 +15,13 @@ from nashlab.intlinalg import (
     dot,
     hermite_normal_form,
     kernel_basis,
+    matrix_rank,
     primitive,
     smith_normal_form,
     solve_rational,
 )
 
-from .helpers import _lattice_contains, frac_det, frac_nullspace, rand_unimodular
+from .helpers import _lattice_contains, frac_det, frac_nullspace, frac_rref, rand_unimodular
 
 
 def mat_mul(a, b):
@@ -103,6 +104,17 @@ def test_hermite_form_preserves_row_lattice():
             assert _lattice_contains(hrows, tuple(r))
         for r in hrows:
             assert _lattice_contains([tuple(x) for x in m], tuple(r))
+
+
+def test_matrix_rank_matches_fraction_gauss():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
+    rng = random.Random(109)
+    for _ in range(40):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 4)
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        assert matrix_rank(m) == len(frac_rref(m)[0])
 
 
 def test_smith_form_factorization_shape_divisibility():

@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from nashlab.families import counterexample_x, cyclic_quotient, numerical, rebassoo, reeve
+import nashlab.blowup
+import nashlab.cones
+import nashlab.iterate
+from nashlab.families import (
+    counterexample_x,
+    cyclic_quotient,
+    from_preset,
+    numerical,
+    rebassoo,
+    reeve,
+)
 from nashlab.iterate import (
     IterationNode,
     IterationTree,
@@ -63,6 +73,47 @@ def test_root_with_units_gets_quotient_and_unit_rank():
     assert tree.nodes[0].unit_rank == 1
     assert tree.nodes[0].semigroup.rank == 1
     assert tree.verdict_summary == "Resolved"
+
+
+@pytest.mark.parametrize(
+    "preset, config, expected",
+    [
+        ("cdll", RunConfig(characteristic=0, max_depth=2), (72, 6)),
+        ("cyclic_quotient:7,24", RunConfig(characteristic=0, normalized=True), (5, 1)),
+    ],
+)
+def test_one_double_description_per_chart_and_per_newton_cone(
+    monkeypatch, preset, config, expected
+):
+    """Each chart shares one Cone between its presentation, its Hilbert basis
+    and its smoothness test, so a run computes one double description per
+    chart plus one per Newton cone; pointed charts skip the unit search."""
+    counts = {"dual_rays": 0, "contains": 0, "expanded": 0}
+    dual_rays, contains = nashlab.cones.dual_rays, nashlab.cones.Cone.contains
+    step_charts = nashlab.iterate.step_charts
+
+    def counted_dual_rays(*args):
+        counts["dual_rays"] += 1
+        return dual_rays(*args)
+
+    def counted_contains(self, x):
+        counts["contains"] += 1
+        return contains(self, x)
+
+    def counted_step_charts(*args):
+        counts["expanded"] += 1
+        return step_charts(*args)
+
+    root = from_preset(preset)
+    root.cone.facets  # the root's cone is computed before the run
+    monkeypatch.setattr(nashlab.cones, "dual_rays", counted_dual_rays)
+    monkeypatch.setattr(nashlab.blowup, "dual_rays", counted_dual_rays)
+    monkeypatch.setattr(nashlab.cones.Cone, "contains", counted_contains)
+    monkeypatch.setattr(nashlab.iterate, "step_charts", counted_step_charts)
+    tree = run(root, config)
+    assert (len(tree.nodes), counts["expanded"]) == expected
+    assert counts["dual_rays"] == (len(tree.nodes) - 1) + counts["expanded"]
+    assert counts["contains"] == 0
 
 
 # Runs whose charts repeat across branches without closing a cycle.

@@ -7,6 +7,7 @@ import pytest
 
 import nashlab.cones
 from nashlab.blowup import blowup_charts, log_jacobian, minimalize
+from nashlab.cones import Cone, hilbert_basis
 from nashlab.families import from_preset
 from nashlab.intlinalg import kernel_basis
 from nashlab.semigroups import (
@@ -209,6 +210,7 @@ def test_unit_quotient_splits_torus_factor():
     image, u = unit_quotient(pointed)
     assert u == 0
     assert image.generators == pointed.generators
+    assert unit_quotient(pointed)[0] is pointed
 
 
 def test_unit_quotient_full_torus():
@@ -367,6 +369,24 @@ def test_membership_search_makes_no_containment_calls(monkeypatch):
         AffineSemigroup(chart.semigroup.rank, chart.semigroup.generators).minimal_generators()
     assert len(charts) > 5 and member_calls
     assert contains_calls == []
+
+
+def test_presentations_share_the_cone():
+    s = AffineSemigroup(2, [(1, 0), (2, 1), (1, 2), (3, 3)])
+    m = s.minimal_presentation()
+    assert m.generators == m.minimal_generators() == s.minimal_generators()
+    assert m.generators == ((1, 0), (1, 2), (2, 1))
+    sat = s.saturation()
+    assert sat.generators == sat.minimal_generators() == hilbert_basis(Cone(2, s.generators))
+    assert sat.generators == ((1, 0), (1, 1), (1, 2))
+    assert m.cone is sat.cone is s.cone
+    assert all(m.member(g) for g in s.generators)
+    assert not m.member((1, 1)) and sat.member((1, 1))
+    # the minimal generators survive a pickle round trip
+    t = pickle.loads(pickle.dumps(m))
+    assert t._mingens == m.generators
+    trivial = AffineSemigroup(0, [])
+    assert trivial.minimal_presentation() == trivial.saturation() == trivial
 
 
 def test_positive_functional_separates():
