@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .cones import dual_rays
+from .cones import Cone, dual_rays
 from .intlinalg import determinant, dot, matrix_rank, vsub
 from .semigroups import AffineSemigroup, NotPointedError
 
@@ -118,6 +118,11 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     A non-vertex exponent lies in the relative interior of a face through
     some vertex; its chart is a localization of that vertex's chart, so it
     adds nothing to the blowup and is not built.
+
+    The chart at a vertex e is the tangent cone of the Newton polyhedron at
+    e, so its facets are the Newton-cone facets (f, c) tight at (e, 1), cut
+    to f; each is primitive, since c = -f·e makes gcd(f) = gcd(f, c).  The
+    chart's cone starts with them and runs no double description of its own.
     """
     s = ideal.ambient
     d = s.rank
@@ -142,9 +147,9 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
                 raise AssertionError("vertex certificate failed verification")
         # differences of lattice points: same ambient lattice, already canonical
         gens = list(s.generators) + [vsub(o, e) for o in exps if o != e]
-        charts.append(
-            Chart(base_exponent=e, semigroup=AffineSemigroup(d, gens), vertex_certificate=cert)
-        )
+        sg = AffineSemigroup(d, gens)
+        sg._cone = Cone(d, sg.generators, facets=[f[:d] for f in tight])
+        charts.append(Chart(base_exponent=e, semigroup=sg, vertex_certificate=cert))
     return charts
 
 

@@ -2,7 +2,8 @@
 description method, lineality, extreme rays and Hilbert bases.
 
 All cones live in an ambient lattice Z^rank and are represented exactly by
-integer generator vectors; the facet description is computed lazily.
+integer generator vectors; the facet description is computed lazily, unless
+the caller already knows it.
 """
 from __future__ import annotations
 
@@ -115,9 +116,13 @@ class Cone:
     ``facets`` are the primitive inner normals of the pointed-part facets;
     ``span_equations`` cut out the linear span (empty for full-dimensional
     cones).  Together they give the exact inequality description.
+
+    A caller that already knows the facets of a full-dimensional cone passes
+    them as ``facets`` and no double description is run; each must be ≥ 0
+    on every generator.
     """
 
-    def __init__(self, rank, generators):
+    def __init__(self, rank, generators, facets=None):
         self.rank = rank
         self.generators = tuple(sorted({tuple(g) for g in generators if any(g)}))
         for g in self.generators:
@@ -125,6 +130,11 @@ class Cone:
                 raise ValueError("generator has wrong dimension")
         self._dual = None
         self._lineality = None
+        if facets is not None:
+            facets = tuple(sorted(tuple(f) for f in facets))
+            if any(dot(f, g) < 0 for f in facets for g in self.generators):
+                raise AssertionError("a given facet is negative on a generator")
+            self._dual = (facets, ())
 
     def _dual_description(self):
         if self._dual is None:
@@ -174,7 +184,8 @@ class Cone:
         out = set()
         for g in self.generators:
             tight = [f for f in self.facets if dot(f, g) == 0] + eqs
-            if matrix_rank(tight) == self.rank - 1:
+            # a ray is tight on rank - 1 independent rows
+            if len(tight) >= self.rank - 1 and matrix_rank(tight) == self.rank - 1:
                 out.add(primitive(g))
         return tuple(sorted(out))
 

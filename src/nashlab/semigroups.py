@@ -167,13 +167,14 @@ class AffineSemigroup:
                 stack.append(child)
         return False
 
-    def minimal_elements(self, elements):
-        """The elements of ``elements`` (points of Γ) that are minimal for
-        x ≼ y ⇔ y − x ∈ Γ, sorted (pointed case).
+    def _minimal_graded(self, elements):
+        """Yield ``(ℓ·x, φ(x), x)`` for the elements x of ``elements`` that
+        are minimal for x ≼ y ⇔ y − x ∈ Γ, in order of (ℓ·x, x).
 
-        In order of (ℓ·x, x), x is dropped when x − y ∈ Γ for a kept y of
-        lower degree; a difference with a negative slack entry is outside
-        the cone and never reaches :meth:`member`.
+        x is dropped when x − y ∈ Γ for a kept y of lower degree; a
+        difference with a negative slack entry is outside the cone and never
+        reaches :meth:`member`.  Each x is yielded before the next one is
+        tested.
         """
         self.positive_functional()  # certifies that degree is positive on Γ minus 0
         graded = sorted((sum(s), x, s) for x, s in zip(elements, map(self.cone.slack, elements)))
@@ -185,18 +186,40 @@ class AffineSemigroup:
                 if ey < ex
             ):
                 kept.append((ex, x, sx))
-        return tuple(sorted(x for _, x, _ in kept))
+                yield ex, sx, x
+
+    def minimal_elements(self, elements):
+        """The elements of ``elements`` (points of Γ) that are minimal for
+        x ≼ y ⇔ y − x ∈ Γ, sorted (pointed case)."""
+        return tuple(sorted(x for _, _, x in self._minimal_graded(elements)))
 
     def minimal_generators(self):
         """The unique inclusion-minimal generating set (pointed case): the
-        elements of Γ not expressible as a sum of two nonzero elements."""
+        elements of Γ not expressible as a sum of two nonzero elements.
+
+        Unless :meth:`member` has already graded every generator, its search
+        runs over the minimal generators kept so far.  When x is tested,
+        every x − y has degree below ℓ·x, so it decomposes over minimal
+        generators of lower degree, all of them kept already; and a
+        memoized vector has lower degree than any generator kept later, so
+        the memo stays exact.
+        """
         if self._mingens is None:
             if self.rank == 0:
                 self._mingens = ()
                 return self._mingens
             if not self.is_pointed:
                 raise NotPointedError("minimal generators are only unique for pointed semigroups")
-            self._mingens = self.minimal_elements(self.generators)
+            self.positive_functional()  # member certifies ℓ only when it grades every generator
+            grow = self._graded is None
+            if grow:
+                self._graded = []
+            mins = []
+            for ex, sx, x in self._minimal_graded(self.generators):
+                if grow:
+                    self._graded.append((ex, sx))
+                mins.append(x)
+            self._mingens = tuple(sorted(mins))
         return self._mingens
 
     def _presented_by(self, generators):

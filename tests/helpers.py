@@ -8,9 +8,11 @@ ground-level primitive (Hermite form), never for the logic under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import gcd
 
+from nashlab.blowup import blowup_charts, log_jacobian, minimalize
 from nashlab.intlinalg import hermite_normal_form
 from nashlab.semigroups import AffineSemigroup, canonicalize, isomorphic, unit_quotient
 
@@ -402,3 +404,38 @@ def singular_saturated_corpus(rng, count=15):
         s = pool[rng.randrange(len(pool))]
         out.append(scramble(s, rng) if rng.random() < 0.5 else s)
     return out
+
+
+@cache
+def chart_corpus():
+    """``(depth, chart)`` for every chart, straight from ``blowup_charts``,
+    of the first two blowup steps of ``cdll`` in characteristic 0,
+    reeve(2..4) in characteristics 0/2/3/5, the normalized cyclic quotients
+    with b <= 13 in characteristics 0/2/3 and rebassoo(3, 1, 2).  Cached,
+    so the test modules share the charts and their caches."""
+    from nashlab.families import cyclic_quotient, from_preset, rebassoo, reeve
+
+    runs = [(from_preset("cdll"), 0, False), (rebassoo(3, 1, 2), 0, False)]
+    runs += [(reeve(q), ch, False) for q in (2, 3, 4) for ch in (0, 2, 3, 5)]
+    runs += [
+        (cyclic_quotient(a, b), ch, True)
+        for b in range(2, 14)
+        for a in range(1, b)
+        if gcd(a, b) == 1
+        for ch in (0, 2, 3)
+    ]
+    out = []
+    for root, ch, normalized in runs:
+        level = [root]
+        for depth in (1, 2):
+            nxt = []
+            for s in level:
+                for chart in blowup_charts(minimalize(log_jacobian(s, ch))):
+                    out.append((depth, chart))
+                    if depth == 1:
+                        sg = chart.semigroup
+                        child = sg.saturation() if normalized else sg.minimal_presentation()
+                        if child not in nxt:
+                            nxt.append(child)
+            level = nxt
+    return tuple(out)

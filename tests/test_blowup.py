@@ -15,12 +15,12 @@ from nashlab.blowup import (
     step_charts,
     validate_characteristic,
 )
-from nashlab.cones import Cone, hilbert_basis
+from nashlab.cones import Cone, dual_rays, hilbert_basis
 from nashlab.families import cyclic_quotient, from_preset, numerical, rebassoo, reeve
 from nashlab.intlinalg import dot
 from nashlab.semigroups import AffineSemigroup, NotPointedError, canonicalize, is_smooth, isomorphic
 
-from .helpers import brute_charts, scramble, smooth_corpus
+from .helpers import brute_charts, chart_corpus, scramble, smooth_corpus
 
 
 def test_validate_characteristic():
@@ -145,6 +145,30 @@ def test_charts_sit_exactly_at_the_oracle_survivors():
                 assert all(dot(c.vertex_certificate, g) > 0 for g in c.semigroup.generators)
             checked += 1
     assert checked == 61
+
+
+def test_inherited_chart_facets_are_the_double_description():
+    """Each chart's cone carries the facets it inherits from the Newton cone
+    (no double description of its own), and they are exactly the facets
+    ``dual_rays`` finds from the chart generators, which span: no span
+    equations.  The depth-2 charts include rank-4 children of ``cdll`` and
+    the Reeve cones."""
+    ranks = set()
+    for depth, chart in chart_corpus():
+        sg = chart.semigroup
+        facets, equations = dual_rays(sg.generators, sg.rank)
+        assert sg.cone.facets == facets and not equations, (sg.generators, depth)
+        assert sg.cone.span_equations == ()
+        ranks.add((depth, sg.rank))
+    assert (2, 4) in ranks and (2, 2) in ranks
+
+
+def test_given_facets_must_be_valid_on_the_generators():
+    with pytest.raises(AssertionError):
+        Cone(2, [(1, 0), (0, 1)], [(1, -1), (0, 1)])
+    cone = Cone(2, [(0, 1), (1, 0)], [(1, 0), (0, 1)])
+    assert cone.facets == ((0, 1), (1, 0)) and cone.span_equations == ()
+    assert cone.is_pointed
 
 
 def test_nash_step_resolves_cusp_in_characteristic_zero():

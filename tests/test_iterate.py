@@ -82,12 +82,11 @@ def test_root_with_units_gets_quotient_and_unit_rank():
         ("cyclic_quotient:7,24", RunConfig(characteristic=0, normalized=True), (5, 1)),
     ],
 )
-def test_one_double_description_per_chart_and_per_newton_cone(
-    monkeypatch, preset, config, expected
-):
-    """Each chart shares one Cone between its presentation, its Hilbert basis
-    and its smoothness test, so a run computes one double description per
-    chart plus one per Newton cone; pointed charts skip the unit search."""
+def test_one_double_description_per_newton_cone(monkeypatch, preset, config, expected):
+    """Each chart's one Cone inherits its facets from the Newton cone and is
+    shared by its presentation, its Hilbert basis and its smoothness test, so
+    a run computes one double description per expansion; pointed charts skip
+    the unit search."""
     counts = {"dual_rays": 0, "contains": 0, "expanded": 0}
     dual_rays, contains = nashlab.cones.dual_rays, nashlab.cones.Cone.contains
     step_charts = nashlab.iterate.step_charts
@@ -112,7 +111,7 @@ def test_one_double_description_per_chart_and_per_newton_cone(
     monkeypatch.setattr(nashlab.iterate, "step_charts", counted_step_charts)
     tree = run(root, config)
     assert (len(tree.nodes), counts["expanded"]) == expected
-    assert counts["dual_rays"] == (len(tree.nodes) - 1) + counts["expanded"]
+    assert counts["dual_rays"] == counts["expanded"]
     assert counts["contains"] == 0
 
 

@@ -2,6 +2,7 @@
 quotients, smoothness, and unimodular isomorphism with certificates."""
 import pickle
 import random
+from operator import sub
 
 import pytest
 
@@ -26,6 +27,7 @@ from nashlab.semigroups import (
 from .helpers import (
     BruteSemigroup,
     apply_matrix,
+    chart_corpus,
     numerical_gap_semigroup,
     rand_unimodular,
     scramble,
@@ -402,3 +404,46 @@ def test_positive_functional_separates():
         ell = s.positive_functional()
         for g in s.generators:
             assert sum(a * b for a, b in zip(ell, g)) > 0
+
+
+def test_chart_minimal_generators_match_a_fresh_search():
+    """A chart's minimal generators, searched over the generators kept so
+    far, are those ``minimal_elements`` finds over all chart generators on a
+    fresh copy; afterwards the chart's member search and memo agree with
+    the fresh copy's on 60 probes per chart, members and non-members."""
+    rng = random.Random(811)
+    answers = set()
+    for _, chart in chart_corpus():
+        sg = chart.semigroup
+        fresh = AffineSemigroup(sg.rank, sg.generators)
+        assert sg.minimal_generators() == fresh.minimal_elements(fresh.generators)
+        g = sg.generators
+        probes = [tuple(map(sub, rng.choice(g), rng.choice(g))) for _ in range(30)]
+        probes += [
+            tuple(a + b - c for a, b, c in zip(rng.choice(g), rng.choice(g), rng.choice(g)))
+            for _ in range(30)
+        ]
+        for v in probes:
+            answer = sg.member(v)
+            assert answer == fresh.member(v), (sg.generators, v)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_minimal_generators_with_and_without_a_prior_member_search():
+    """Whether ``member`` has graded every generator first or the search
+    grows over the kept ones, the minimal generators match the brute
+    oracle on random rank-3 semigroups."""
+    rng = random.Random(823)
+    done = 0
+    while done < 10:
+        gens = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(7)]
+        s = AffineSemigroup(3, [g for g in gens if any(g)] or [(1, 0, 0)])
+        if not s.is_pointed:
+            continue
+        brute = BruteSemigroup(s.generators, 3).minimal_generators()
+        searched = AffineSemigroup(3, s.generators)
+        searched.member(tuple(map(sum, zip(*s.generators))))
+        assert len(searched._graded) == len(s.generators)
+        assert list(s.minimal_generators()) == list(searched.minimal_generators()) == brute
+        done += 1
