@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .cones import Cone, dual_rays
+from .cones import dual_rays
 from .intlinalg import determinant, dot, matrix_rank, vsub
 from .semigroups import AffineSemigroup, NotPointedError
 
@@ -147,8 +147,7 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
                 raise AssertionError("vertex certificate failed verification")
         # differences of lattice points: same ambient lattice, already canonical
         gens = list(s.generators) + [vsub(o, e) for o in exps if o != e]
-        sg = AffineSemigroup(d, gens)
-        sg._cone = Cone(d, sg.generators, facets=[f[:d] for f in tight])
+        sg = AffineSemigroup.with_facets(d, gens, [f[:d] for f in tight])
         charts.append(Chart(base_exponent=e, semigroup=sg, vertex_certificate=cert))
     return charts
 

@@ -57,6 +57,14 @@ class AffineSemigroup:
         self._mingens = None
         self._key = None
 
+    @classmethod
+    def with_facets(cls, rank, generators, facets):
+        """Semigroup of a full-dimensional cone whose primitive facet
+        normals are already known; its cone runs no double description."""
+        out = cls(rank, generators)
+        out._cone = Cone(rank, out.generators, facets=facets)
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, AffineSemigroup)
@@ -197,12 +205,11 @@ class AffineSemigroup:
         """The unique inclusion-minimal generating set (pointed case): the
         elements of Γ not expressible as a sum of two nonzero elements.
 
-        Unless :meth:`member` has already graded every generator, its search
-        runs over the minimal generators kept so far.  When x is tested,
-        every x − y has degree below ℓ·x, so it decomposes over minimal
-        generators of lower degree, all of them kept already; and a
-        memoized vector has lower degree than any generator kept later, so
-        the memo stays exact.
+        The :meth:`member` search runs over the minimal generators kept so
+        far, which stay its grading afterwards.  When x is tested, every
+        x − y has degree below ℓ·x, so it decomposes over minimal generators
+        of lower degree, all of them kept already; and a memoized vector has
+        lower degree than any generator kept later, so the memo stays exact.
         """
         if self._mingens is None:
             if self.rank == 0:
@@ -210,14 +217,10 @@ class AffineSemigroup:
                 return self._mingens
             if not self.is_pointed:
                 raise NotPointedError("minimal generators are only unique for pointed semigroups")
-            self.positive_functional()  # member certifies ℓ only when it grades every generator
-            grow = self._graded is None
-            if grow:
-                self._graded = []
+            self._graded = []
             mins = []
             for ex, sx, x in self._minimal_graded(self.generators):
-                if grow:
-                    self._graded.append((ex, sx))
+                self._graded.append((ex, sx))
                 mins.append(x)
             self._mingens = tuple(sorted(mins))
         return self._mingens

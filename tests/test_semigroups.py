@@ -431,9 +431,9 @@ def test_chart_minimal_generators_match_a_fresh_search():
 
 
 def test_minimal_generators_with_and_without_a_prior_member_search():
-    """Whether ``member`` has graded every generator first or the search
-    grows over the kept ones, the minimal generators match the brute
-    oracle on random rank-3 semigroups."""
+    """Whether or not ``member`` has searched over every generator first,
+    leaving its memo behind, the minimal generators match the brute oracle
+    on random rank-3 semigroups, and they become the member grading."""
     rng = random.Random(823)
     done = 0
     while done < 10:
@@ -446,4 +446,5 @@ def test_minimal_generators_with_and_without_a_prior_member_search():
         searched.member(tuple(map(sum, zip(*s.generators))))
         assert len(searched._graded) == len(s.generators)
         assert list(s.minimal_generators()) == list(searched.minimal_generators()) == brute
+        assert len(searched._graded) == len(brute)
         done += 1
