@@ -212,8 +212,8 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
     the representative of an earlier class (sibling, cousin or ancestor)
     is a ``Cycle`` leaf pointing at it and is not expanded.  Any other chart
     becomes its class's representative and is expanded unless a budget
-    stops it.  Children enter the next level sorted by invariant key then
-    generators.  The result is byte-identical for any ``jobs`` value.
+    stops it.  Children enter the next level in ``step_charts`` order.  The
+    result is byte-identical for any ``jobs`` value.
     """
     if config is None:
         config = RunConfig()
@@ -223,7 +223,7 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
     pointed = pointed.minimal_presentation()
     nodes = [IterationNode(id=0, semigroup=pointed, parent=None, depth=0, unit_rank=unit_rank)]
     level = [0]
-    classes = {}  # invariant_key -> ids of the class representatives
+    classes = {}  # invariant_key -> id of the class representative
     pool = None
     if jobs > 1:
         pool = multiprocessing.Pool(processes=jobs)
@@ -236,17 +236,15 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
                 if is_smooth(sg):
                     node.verdict = "Smooth"
                     continue
-                reps = classes.setdefault(invariant_key(sg), [])
-                for t in reps:
+                t = classes.setdefault(invariant_key(sg), nid)
+                if t != nid:
                     cert = isomorphic(sg, nodes[t].semigroup)
-                    if cert is not None:
-                        node.verdict = "Cycle"
-                        node.cycle_target = t
-                        node.certificate = cert
-                        break
-                if node.verdict == "Cycle":
+                    if cert is None:
+                        raise AssertionError("equal invariant keys without an isomorphism")
+                    node.verdict = "Cycle"
+                    node.cycle_target = t
+                    node.certificate = cert
                     continue
-                reps.append(nid)
                 if node.depth >= max_depth:
                     node.verdict = "DepthLimit"
                     node.annotation = "depth limit reached"
@@ -273,9 +271,6 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
                     node.verdict = "DepthLimit"
                     node.annotation = "node budget exhausted"
                     continue
-                payload = sorted(
-                    payload, key=lambda c: (invariant_key(c[1]), c[1].generators, c[0])
-                )
                 for base, sg in payload:
                     # charts are pointed and sit at certified vertices
                     child = IterationNode(

@@ -1,6 +1,7 @@
 """Affine semigroups: canonicalization, membership, minimal generators,
 the minimal and saturated presentations, unit quotients, smoothness, and
-isomorphism up to unimodular change of lattice coordinates.
+canonical forms that decide isomorphism up to unimodular change of lattice
+coordinates.
 
 A semigroup is the set of N-combinations of finitely many integer vectors.
 After :func:`canonicalize` the generated group is the full lattice Z^rank,
@@ -9,7 +10,6 @@ which every blowup-facing operation assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import sub
 
 from .cones import Cone, hilbert_basis
@@ -29,6 +29,10 @@ from .intlinalg import (
 
 class NotPointedError(ValueError):
     """Operation needs a pointed semigroup; apply unit_quotient first."""
+
+
+class NotCanonicalError(ValueError):
+    """Operation needs generators that generate Z^rank; apply canonicalize first."""
 
 
 class AffineSemigroup:
@@ -79,12 +83,16 @@ class AffineSemigroup:
         return f"AffineSemigroup(rank={self.rank}, generators={list(self.generators)})"
 
     def __getstate__(self):
-        return (self.rank, self.generators, self._mingens)
+        cone = self._cone
+        known = cone is not None and cone._dual is not None and not cone.span_equations
+        return (self.rank, self.generators, self._mingens, cone.facets if known else None)
 
     def __setstate__(self, state):
-        rank, gens, minimal = state
+        rank, gens, minimal, facets = state
         self.__init__(rank, gens)
         self._mingens = minimal
+        if facets is not None:
+            self._cone = Cone(rank, self.generators, facets)
 
     @property
     def cone(self):
@@ -343,107 +351,103 @@ class IsoCertificate:
         return all(self.apply(a) == b for a, b in self.mapping)
 
 
-def isomorphic(a: AffineSemigroup, b: AffineSemigroup):
-    """Search for a unimodular map carrying the minimal generators of ``a``
-    bijectively onto those of ``b``; returns a verified
-    :class:`IsoCertificate` or None.
+def _ranks(signatures):
+    """Rank of each signature among the distinct ones: an order-free colour."""
+    rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+    return [rank[sig] for sig in signatures]
 
-    Pruned by rank, minimal-generator count and the value multiset of the
-    canonical positive functional (all isomorphism invariants); then anchors
-    a basis inside the minimal generators of ``a`` and tries value-compatible
-    image tuples in ``b``.
+
+def _least_form(S):
+    """``(columns, column order)``: the sorted columns of the least leaf
+    that this search reaches in S, the same for every row and column order.
+
+    Row colours start from each row's sorted entries and are refined until
+    no class splits: a column is coloured by its multiset of (row colour,
+    entry), a row by its colour and its multiset of (column colour, entry).
+    Each row of the first tied class is then tried as a singleton.  A leaf
+    orders the rows by colour.  A leaf equal to an earlier one gives an
+    automorphism of S that maps this subtree onto an explored one, so the
+    search resumes where they part.
     """
-    if a.rank != b.rank:
-        return None
-    d = a.rank
-    if d == 0:
-        return IsoCertificate(matrix=(), mapping=())
-    if not a.is_pointed or not b.is_pointed:
-        raise NotPointedError("isomorphism search expects pointed semigroups")
-    ma, mb = a.minimal_generators(), b.minimal_generators()
-    if len(ma) != len(mb):
-        return None
-    ella, ellb = a.positive_functional(), b.positive_functional()
-    if sorted(dot(ella, g) for g in ma) != sorted(dot(ellb, g) for g in mb):
-        return None
-    anchor = []
-    for g in ma:
-        if matrix_rank(anchor + [g]) == len(anchor) + 1:
-            anchor.append(g)
-        if len(anchor) == d:
-            break
-    if len(anchor) < d:
-        return None  # minimal generators do not span: cannot happen for canonical pointed inputs
-    A_cols = [[anchor[j][i] for j in range(d)] for i in range(d)]
-    adj, det_a = adjugate(A_cols)
-    anchor_vals = [dot(ella, g) for g in anchor]
-    by_val = {}
-    for g in mb:
-        by_val.setdefault(dot(ellb, g), []).append(g)
-    source_set = set(ma)
-    target_set = set(mb)
+    leaves = {}  # sorted columns -> (singleton rows, column order) of the first such leaf
 
-    used = set()
-    pick = [None] * d
+    def search(colours, fixed):
+        while True:
+            ccol = _ranks([tuple(sorted(zip(colours, col))) for col in zip(*S)])
+            refined = _ranks([(c, tuple(sorted(zip(ccol, row)))) for c, row in zip(colours, S)])
+            if refined == colours:
+                break
+            colours = refined
+        tied = min((c for c in colours if colours.count(c) > 1), default=None)
+        if tied is None:
+            columns = list(zip(*(row for _, row in sorted(zip(colours, S)))))
+            cols = sorted(range(len(columns)), key=columns.__getitem__)
+            first = leaves.setdefault(tuple(columns[j] for j in cols), (fixed, cols))[0]
+            return next((k for k, (a, b) in enumerate(zip(first, fixed)) if a != b), len(fixed))
+        for i in [k for k, c in enumerate(colours) if c == tied]:
+            split = [2 * c + (c == tied and k != i) for k, c in enumerate(colours)]
+            back = search(split, fixed + [i])
+            if back < len(fixed):
+                return back
+        return len(fixed)
 
-    def attempt():
-        B_cols = [[pick[j][i] for j in range(d)] for i in range(d)]
-        if abs(determinant(B_cols)) != det_a:
-            return None
-        # U * anchor_j = pick_j for all j: U = B * adj / det_a, if integral
-        rows = []
-        for t in range(d):
-            row = []
-            for k in range(d):
-                q, r = divmod(sum(pick[j][t] * adj[j][k] for j in range(d)), det_a)
-                if r:
-                    return None
-                row.append(q)
-            rows.append(tuple(row))
-        if abs(determinant([list(r) for r in rows])) != 1:
-            return None
-        image = {tuple(dot(r, g) for r in rows) for g in source_set}
-        if image != target_set:
-            return None
-        mapping = tuple(sorted((g, tuple(dot(r, g) for r in rows)) for g in ma))
-        return IsoCertificate(matrix=tuple(rows), mapping=mapping)
-
-    def dfs(i):
-        if i == d:
-            return attempt()
-        for g in by_val.get(anchor_vals[i], ()):
-            if g in used:
-                continue
-            used.add(g)
-            pick[i] = g
-            found = dfs(i + 1)
-            used.discard(g)
-            if found is not None:
-                return found
-        return None
-
-    cert = dfs(0)
-    if cert is not None and not cert.verify(a, b):
-        raise AssertionError("isomorphism certificate failed re-verification")
-    return cert
+    search(_ranks([tuple(sorted(row)) for row in S]), [])
+    return min((leaf, cols) for leaf, (_, cols) in leaves.items())
 
 
-def invariant_key(s: AffineSemigroup) -> bytes:
-    """Byte string constant on isomorphism classes (necessary, never
-    sufficient): rank, minimal generator count, and the sorted multiset of
-    absolute rank-minors of the minimal generators."""
+def canonical_form(s: AffineSemigroup):
+    """``(key, generators)``: a key equal exactly on isomorphism classes,
+    and the minimal generators in the key's column order.
+
+    The slack map x ↦ (f·x)_f over the primitive facet normals is injective
+    on a pointed semigroup that generates Z^rank, so two of them are
+    isomorphic iff their facet × minimal-generator slack matrices agree up
+    to row and column permutations, and matching columns pair generators.
+    The key is the rank and the least such matrix (McKay and Piperno,
+    *Practical graph isomorphism II*, 2014).  Cached.
+    """
     if s._key is None:
-        if s.rank == 0:
-            payload = (0, 0, ())
-        else:
-            mg = s.minimal_generators()
-            dets = sorted(
-                abs(determinant([[g[i] for i in range(s.rank)] for g in sub]))
-                for sub in combinations(mg, s.rank)
-            )
-            payload = (s.rank, len(mg), tuple(dets))
-        s._key = repr(payload).encode("ascii")
+        if s.cone.span_equations:
+            raise NotCanonicalError("not full-dimensional; canonicalize it first")
+        gens = s.minimal_generators()
+        leaf, cols = _least_form([[dot(f, g) for g in gens] for f in s.cone.facets])
+        s._key = ((s.rank, leaf), tuple(gens[j] for j in cols))
     return s._key
+
+
+def invariant_key(s: AffineSemigroup):
+    """Hashable key equal exactly on isomorphism classes (:func:`canonical_form`)."""
+    return canonical_form(s)[0]
+
+
+def isomorphic(a: AffineSemigroup, b: AffineSemigroup):
+    """A verified :class:`IsoCertificate` for a unimodular map carrying the
+    minimal generators of ``a`` bijectively onto those of ``b``, or None.
+
+    Equal canonical keys pair the canonically ordered minimal generators;
+    the first ``rank`` independent ones of ``a`` and their partners in ``b``
+    fix the map, through one adjugate.  Both inputs must be pointed and
+    generate Z^rank (see :func:`canonicalize`); a violation found on the way
+    raises :class:`NotPointedError` or :class:`NotCanonicalError`.
+    """
+    (ka, ga), (kb, gb) = canonical_form(a), canonical_form(b)
+    if ka != kb:
+        return None
+    d, basis = a.rank, []
+    for j, g in enumerate(ga):
+        if len(basis) < d and matrix_rank([ga[i] for i in basis] + [g]) == len(basis) + 1:
+            basis.append(j)
+    adj, det = adjugate(list(zip(*(ga[j] for j in basis))))
+    # U · ga[j] = gb[j] for j in basis: U = B · adj / det, B with columns gb[j]
+    U = [[sum(gb[j][t] * r[k] for j, r in zip(basis, adj)) for k in range(d)] for t in range(d)]
+    rows = tuple(tuple(x // det for x in row) for row in U)
+    mapping = tuple(sorted((g, tuple(dot(r, g) for r in rows)) for g in ga))
+    cert = IsoCertificate(matrix=rows, mapping=mapping)
+    if any(x % det for row in U for x in row) or not cert.verify(a, b):
+        if canonicalize(a.generators) != a or canonicalize(b.generators) != b:
+            raise NotCanonicalError("generators span a proper sublattice; canonicalize them first")
+        raise AssertionError("equal canonical keys without a verified certificate")
+    return cert
 
 
 def to_json_dict(s: AffineSemigroup) -> dict:

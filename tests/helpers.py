@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 from nashlab.blowup import blowup_charts, log_jacobian, minimalize
@@ -356,6 +356,36 @@ def brute_charts(s, characteristic, normalized=False):
                 pointed = AffineSemigroup(pointed.rank, pointed.minimal_generators())
         out.append((exps[j], pointed))
     return out
+
+
+def brute_isomorphic(a, b):
+    """Whether a unimodular map carries the generators of ``a`` bijectively
+    onto those of ``b``: ``rank`` independent generators of ``a`` are fixed,
+    and every tuple of distinct generators of ``b`` is tried as their
+    images, through the adjugate of the fixed ones."""
+    d = a.rank
+    if d != b.rank or len(a.generators) != len(b.generators):
+        return False
+    anchor = []
+    for g in a.generators:
+        if len(anchor) < d and len(frac_rref(anchor + [g])[0]) == len(anchor) + 1:
+            anchor.append(g)
+    cols = [[anchor[j][i] for j in range(d)] for i in range(d)]
+    aug = [row + [int(i == k) for k in range(d)] for i, row in enumerate(cols)]
+    det = int(frac_det(cols))
+    adj = [[int(x * det) for x in row[d:]] for row in frac_rref(aug)[0]]
+    target = set(b.generators)
+    for images in permutations(b.generators, d):
+        u = []
+        for t in range(d):
+            row = [sum(images[j][t] * adj[j][k] for j in range(d)) for k in range(d)]
+            if any(x % det for x in row):
+                break
+            u.append([x // det for x in row])
+        else:
+            if all(apply_matrix(u, g) in target for g in a.generators) and abs(frac_det(u)) == 1:
+                return True
+    return False
 
 
 def iso_class_multisets_equal(left, right):

@@ -115,6 +115,46 @@ def test_one_double_description_per_newton_cone(monkeypatch, preset, config, exp
     assert counts["contains"] == 0
 
 
+def test_charts_from_pool_workers_keep_their_facets(monkeypatch):
+    """A chart pickled back from a pool worker carries its facets, so the
+    calling process runs one double description, for the root."""
+    calls = []
+    dual_rays = nashlab.cones.dual_rays
+
+    def counted_dual_rays(*args):
+        calls.append(args)
+        return dual_rays(*args)
+
+    monkeypatch.setattr(nashlab.cones, "dual_rays", counted_dual_rays)
+    tree = run(from_preset("cdll"), RunConfig(max_depth=2), jobs=2)
+    assert len(tree.nodes) == 72
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "preset, config",
+    [
+        ("cdll", RunConfig(max_depth=2)),
+        ("reeve:3", RunConfig(characteristic=2, max_depth=3, max_nodes=200)),
+    ],
+)
+def test_one_isomorphism_call_per_cycle_leaf(monkeypatch, preset, config):
+    """Equal invariant keys mean isomorphic charts, so ``run`` calls
+    ``isomorphic`` once per Cycle leaf, and never in vain."""
+    results = []
+    isomorphic = nashlab.iterate.isomorphic
+
+    def counted_isomorphic(a, b):
+        results.append(isomorphic(a, b))
+        return results[-1]
+
+    monkeypatch.setattr(nashlab.iterate, "isomorphic", counted_isomorphic)
+    tree = run(from_preset(preset), config)
+    cycles = [n for n in tree.nodes if n.verdict == "Cycle"]
+    assert cycles and len(results) == len(cycles)
+    assert all(cert is not None for cert in results)
+
+
 # Runs whose charts repeat across branches without closing a cycle.
 CROSS_BRANCH_RUNS = [
     (cyclic_quotient(a, 9), RunConfig(characteristic=ch, normalized=True))

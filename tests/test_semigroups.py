@@ -14,7 +14,9 @@ from nashlab.intlinalg import kernel_basis
 from nashlab.semigroups import (
     AffineSemigroup,
     IsoCertificate,
+    NotCanonicalError,
     NotPointedError,
+    _least_form,
     canonicalize,
     from_json_dict,
     invariant_key,
@@ -27,10 +29,12 @@ from nashlab.semigroups import (
 from .helpers import (
     BruteSemigroup,
     apply_matrix,
+    brute_isomorphic,
     chart_corpus,
     numerical_gap_semigroup,
     rand_unimodular,
     scramble,
+    singular_saturated_corpus,
 )
 
 
@@ -299,6 +303,84 @@ def test_invariant_key_is_an_isomorphism_invariant():
     assert invariant_key(canonicalize([(1, 0), (1, 1), (1, 2)])) != invariant_key(
         canonicalize([(1, 0), (1, 1), (1, 2), (1, 3)])
     )
+    charts = [chart.semigroup.minimal_presentation() for _, chart in chart_corpus()]
+    for s in rng.sample(charts, 40) + singular_saturated_corpus(rng, 15):
+        for _ in range(2):
+            gens = list(scramble(s, rng).generators)
+            rng.shuffle(gens)
+            assert invariant_key(canonicalize(gens)) == invariant_key(s)
+
+
+def test_invariant_key_matches_a_brute_isomorphism_search():
+    """On the non-smooth chart presentations, keys are equal exactly when
+    some unimodular map carries one generator set onto the other.  Pairs of
+    the same rank, generator count and facet count are sampled: 3000 in
+    rank 2, and in rank 4 100 with equal keys and 80 without."""
+    rng = random.Random(1001)
+    groups = {}
+    for _, chart in chart_corpus():
+        s = chart.semigroup.minimal_presentation()
+        if len(s.generators) > s.rank:
+            shape = (s.rank, len(s.generators), len(s.cone.facets))
+            groups.setdefault(shape, {})[s.generators] = s
+    pairs = []
+    for group in groups.values():
+        members = sorted(group.values(), key=lambda s: s.generators)
+        pairs += [(a, b) for i, a in enumerate(members) for b in members[:i]]
+    rank2 = [p for p in pairs if p[0].rank == 2]
+    same = [p for p in pairs if p[0].rank == 4 and invariant_key(p[0]) == invariant_key(p[1])]
+    other = [p for p in pairs if p[0].rank == 4 and invariant_key(p[0]) != invariant_key(p[1])]
+    sample = rng.sample(rank2, 3000) + rng.sample(same, 100) + rng.sample(other, 80)
+    assert any(invariant_key(a) == invariant_key(b) for a, b in rank2)
+    for a, b in sample:
+        assert brute_isomorphic(a, b) is (invariant_key(a) == invariant_key(b)), (a, b)
+
+
+def test_symmetric_cone_keys_and_certificates():
+    """Every facet of the cone over the lattice hexagon ties under
+    refinement, so the key needs individualized rows; scrambles still give
+    the same key and a verified certificate."""
+    hexagon = AffineSemigroup(
+        3, [(1, 0, 1), (-1, 0, 1), (1, 1, 1), (0, 1, 1), (0, -1, 1), (-1, -1, 1)]
+    ).saturation()
+    assert len(hexagon.generators) == 7 and len(hexagon.cone.facets) == 6
+    rng = random.Random(1002)
+    for _ in range(10):
+        t = scramble(hexagon, rng)
+        assert invariant_key(t) == invariant_key(hexagon)
+        cert = isomorphic(hexagon, t)
+        assert cert is not None and cert.verify(hexagon, t)
+
+
+def test_least_form_does_not_depend_on_row_and_column_order():
+    """Refinement leaves every row of the vertex × edge incidence matrix of
+    a triangle, a square and a pentagon tied, though no symmetry maps a
+    vertex of one to a vertex of another; the least form is the same under
+    any row and column order."""
+    edges = [(a + i, a + (i + 1) % n) for a, n in ((0, 3), (3, 4), (7, 5)) for i in range(n)]
+    S = [[int(v in e) for e in edges] for v in range(12)]
+    least = _least_form(S)[0]
+    rng = random.Random(1003)
+    for _ in range(20):
+        rows, cols = rng.sample(range(12), 12), rng.sample(range(12), 12)
+        moved = [[S[i][j] for j in cols] for i in rows]
+        assert _least_form(moved)[0] == least
+
+
+def test_isomorphism_needs_semigroups_that_generate_the_lattice():
+    """A ray in Z^2 and two semigroups whose generators span index-2 and
+    index-4 sublattices with equal slack matrices are named errors, not
+    verdicts; canonicalized, they are compared."""
+    ray = AffineSemigroup(2, [(1, 0), (2, 0)])
+    with pytest.raises(NotCanonicalError, match="canonicalize"):
+        isomorphic(ray, ray)
+    line = canonicalize(ray.generators)
+    assert line.rank == 1 and isomorphic(line, line) is not None
+    a, b = AffineSemigroup(2, [(1, 0), (1, 2)]), AffineSemigroup(2, [(2, 0), (0, 2)])
+    assert invariant_key(a) == invariant_key(b)
+    with pytest.raises(NotCanonicalError, match="canonicalize"):
+        isomorphic(a, b)
+    assert isomorphic(canonicalize(a.generators), canonicalize(b.generators)) is not None
 
 
 def test_json_round_trip_and_validation():
@@ -342,7 +424,8 @@ def test_lineality_and_graded_generators_are_computed_once(monkeypatch):
     s = from_preset("cdll")
     s.minimal_generators()
     assert cones and len(kernels) <= len(cones)
-    # the caches are not pickled: a loaded copy rebuilds them
+    # the member caches are not pickled, only the facets: a loaded copy
+    # rebuilds them
     probes = [tuple(a + b for a, b in zip(g, h)) for g in s.generators for h in s.generators]
     probes += [tuple(a - b for a, b in zip(g, h)) for g in s.generators for h in s.generators]
     expected = [s.member(v) for v in probes]
