@@ -23,7 +23,6 @@ from .intlinalg import (
     smith_normal_form,
     solve_rational,
     vneg,
-    vsub,
 )
 
 
@@ -55,7 +54,6 @@ class AffineSemigroup:
         self.rank = rank
         self.generators = gens
         self._cone = None
-        self._functional = None
         self._graded = None
         self._member_cache = {}
         self._mingens = None
@@ -104,34 +102,25 @@ class AffineSemigroup:
     def is_pointed(self):
         return self.cone.is_pointed
 
-    def positive_functional(self):
-        """Integer functional strictly positive on every nonzero semigroup
-        element (sum of the facet normals); requires a pointed semigroup."""
-        if self._functional is None:
-            if not self.is_pointed:
-                raise NotPointedError("no strictly positive functional on a non-pointed semigroup")
-            f = tuple(
-                sum(fac[i] for fac in self.cone.facets) for i in range(self.rank)
-            )
-            for g in self.generators:
-                if dot(f, g) <= 0:
-                    raise AssertionError("positive functional failed on a generator")
-            self._functional = f
-        return self._functional
+    def _grade(self, elements):
+        """``(ℓ·x, φ(x), x)`` for the distinct elements x, sorted by (ℓ·x, x):
+        the slacks φ(x) = (f·x for f in cone.facets), injective on the span
+        of a pointed cone, and their sum, positive on Γ minus 0 (checked)."""
+        if not self.is_pointed:
+            raise NotPointedError("no positive grading on a non-pointed semigroup; apply unit_quotient first")
+        elements = set(elements)
+        graded = sorted(
+            ((sum(s), s, x) for x, s in zip(elements, map(self.cone.slack, elements))),
+            key=lambda e: (e[0], e[2]),
+        )
+        if graded and graded[0][0] <= 0:
+            raise AssertionError("degree not positive on a semigroup element")
+        return graded
 
     def member(self, v) -> bool:
-        """Whether v is an N-combination of the generators.
-
-        Depth-first search in slack coordinates φ(x) = (f·x for f in
-        cone.facets), which are injective on the linear span of a pointed
-        cone and sum to the degree ℓ·x of :meth:`positive_functional`.
-        From φ(x) the search steps to φ(x) − φ(g) for generators g of
-        degree at most ℓ·x, building each child only when it reaches it: a
-        child with a negative entry has left the cone and is skipped, a
-        nonnegative child of degree 0 is 0, so x is a member.  Memoized
-        across calls by slack vector.  Requires a pointed semigroup
-        (termination bound).
-        """
+        """Whether v is an N-combination of the generators: a
+        :meth:`_search` on the slack vector φ(v) of :meth:`_grade`.
+        Requires a pointed semigroup (termination bound)."""
         v = tuple(v)
         if len(v) != self.rank:
             raise ValueError("vector has wrong dimension")
@@ -145,13 +134,21 @@ class AffineSemigroup:
         x = cone.slack(v)
         if min(x) < 0:
             return False
+        return self._search(x)
+
+    def _search(self, x) -> bool:
+        """Whether the nonnegative, nonzero slack vector x is φ of a member:
+        a depth-first search from x to x − φ(g) over the minimal generators g
+        of degree at most that of x, building each child only when it
+        reaches it.  A child with a negative entry has left the cone; a
+        nonnegative one of degree 0 is 0, so x is a member.  Memoized by
+        slack vector; the first search computes the minimal generators."""
         cache = self._member_cache
         hit = cache.get(x)
         if hit is not None:
             return hit
         if self._graded is None:
-            self.positive_functional()  # certifies that degree is positive on Γ minus 0
-            self._graded = sorted((sum(s), s) for s in map(cone.slack, self.generators))
+            self._graded = self._grade(self.minimal_generators())
         graded = self._graded
         n = len(graded)
         stack = [[x, sum(x), 0]]  # slack, degree, next generator index
@@ -160,7 +157,7 @@ class AffineSemigroup:
             x, deg, i = frame
             child = None
             while i < n:
-                dg, sg = graded[i]
+                dg, sg, _ = graded[i]
                 if dg > deg:
                     break
                 i += 1
@@ -184,24 +181,25 @@ class AffineSemigroup:
         return False
 
     def _minimal_graded(self, elements):
-        """Yield ``(ℓ·x, φ(x), x)`` for the elements x of ``elements`` that
-        are minimal for x ≼ y ⇔ y − x ∈ Γ, in order of (ℓ·x, x).
+        """Yield the entries of :meth:`_grade` for the elements x of
+        ``elements`` that are minimal for x ≼ y ⇔ y − x ∈ Γ, in order.
 
-        x is dropped when x − y ∈ Γ for a kept y of lower degree; a
-        difference with a negative slack entry is outside the cone and never
-        reaches :meth:`member`.  Each x is yielded before the next one is
-        tested.
+        x is dropped when φ(x) − φ(y) passes :meth:`_search` for a kept y of
+        lower degree; a difference with a negative entry is outside the cone
+        and is never searched.  Each x is yielded before the next one is
+        tested.  Once the kept elements are as many as the facets and all of
+        degree 1, their slacks are the unit vectors, so F·B = I for the
+        facet normals F and the kept B: Γ is the whole cone, free on them,
+        and nothing later is minimal.
         """
-        self.positive_functional()  # certifies that degree is positive on Γ minus 0
-        graded = sorted((sum(s), x, s) for x, s in zip(elements, map(self.cone.slack, elements)))
+        n = len(self.cone.facets)
         kept = []
-        for ex, x, sx in graded:
-            if not any(
-                min(map(sub, sx, sy)) >= 0 and self.member(vsub(x, y))
-                for ey, y, sy in kept
-                if ey < ex
-            ):
-                kept.append((ex, x, sx))
+        for ex, sx, x in self._grade(elements):
+            if len(kept) == n and kept[-1][0] == 1:
+                return
+            diffs = (tuple(map(sub, sx, sy)) for ey, sy, _ in kept if ey < ex)
+            if not any(min(z) >= 0 and self._search(z) for z in diffs):
+                kept.append((ex, sx, x))
                 yield ex, sx, x
 
     def minimal_elements(self, elements):
@@ -213,24 +211,21 @@ class AffineSemigroup:
         """The unique inclusion-minimal generating set (pointed case): the
         elements of Γ not expressible as a sum of two nonzero elements.
 
-        The :meth:`member` search runs over the minimal generators kept so
-        far, which stay its grading afterwards.  When x is tested, every
-        x − y has degree below ℓ·x, so it decomposes over minimal generators
-        of lower degree, all of them kept already; and a memoized vector has
-        lower degree than any generator kept later, so the memo stays exact.
+        The :meth:`_search` runs over the minimal generators kept so far,
+        which stay its grading afterwards.  When x is tested, every
+        φ(x) − φ(y) has degree below ℓ·x, so it decomposes over minimal
+        generators of lower degree, all of them kept already; and a memoized
+        vector has lower degree than any generator kept later, so the memo
+        stays exact.
         """
         if self._mingens is None:
             if self.rank == 0:
                 self._mingens = ()
                 return self._mingens
-            if not self.is_pointed:
-                raise NotPointedError("minimal generators are only unique for pointed semigroups")
             self._graded = []
-            mins = []
-            for ex, sx, x in self._minimal_graded(self.generators):
-                self._graded.append((ex, sx))
-                mins.append(x)
-            self._mingens = tuple(sorted(mins))
+            for entry in self._minimal_graded(self.generators):
+                self._graded.append(entry)
+            self._mingens = tuple(sorted(x for _, _, x in self._graded))
         return self._mingens
 
     def _presented_by(self, generators):
@@ -308,6 +303,8 @@ def unit_quotient(s: AffineSemigroup):
         y = [dot(P[i], g) for i in range(d)]
         img.append(tuple(y[u:]))
     img = [g for g in img if any(g)]
+    if u < d and not img:
+        raise NotCanonicalError("the units fill the generators' span, a proper subspace; canonicalize them first")
     return AffineSemigroup(d - u, img), u
 
 
@@ -330,7 +327,6 @@ class IsoCertificate:
     U · (minimal generators of source) = minimal generators of target."""
 
     matrix: tuple
-    mapping: tuple  # pairs (source minimal generator, its image)
 
     def apply(self, v):
         return tuple(dot(row, v) for row in self.matrix)
@@ -346,9 +342,7 @@ class IsoCertificate:
         src = source.minimal_generators()
         tgt = set(target.minimal_generators())
         image = {self.apply(g) for g in src}
-        if image != tgt or len(image) != len(src):
-            return False
-        return all(self.apply(a) == b for a, b in self.mapping)
+        return image == tgt and len(image) == len(src)
 
 
 def _ranks(signatures):
@@ -440,9 +434,7 @@ def isomorphic(a: AffineSemigroup, b: AffineSemigroup):
     adj, det = adjugate(list(zip(*(ga[j] for j in basis))))
     # U · ga[j] = gb[j] for j in basis: U = B · adj / det, B with columns gb[j]
     U = [[sum(gb[j][t] * r[k] for j, r in zip(basis, adj)) for k in range(d)] for t in range(d)]
-    rows = tuple(tuple(x // det for x in row) for row in U)
-    mapping = tuple(sorted((g, tuple(dot(r, g) for r in rows)) for g in ga))
-    cert = IsoCertificate(matrix=rows, mapping=mapping)
+    cert = IsoCertificate(matrix=tuple(tuple(x // det for x in row) for row in U))
     if any(x % det for row in U for x in row) or not cert.verify(a, b):
         if canonicalize(a.generators) != a or canonicalize(b.generators) != b:
             raise NotCanonicalError("generators span a proper sublattice; canonicalize them first")

@@ -203,12 +203,13 @@ def brute_hilbert_basis(generators, rank, bound):
 
 class BruteSemigroup:
     """Membership by memoized descent, independent of the production search:
-    the positive functional comes from the brute facet oracle."""
+    the positive functional comes from the brute facet oracle, or from
+    ``dual = (facets, equations)`` of a cone that contains the generators."""
 
-    def __init__(self, generators, rank):
+    def __init__(self, generators, rank, dual=None):
         self.rank = rank
         self.gens = sorted(set(tuple(g) for g in generators if any(g)))
-        facets, equations = brute_dual_rays(self.gens, rank)
+        facets, equations = dual or brute_dual_rays(self.gens, rank)
         self.facets = facets
         self.equations = equations
         ell = [0] * rank
@@ -243,10 +244,13 @@ class BruteSemigroup:
         return res
 
     def minimal_generators(self):
+        """The generators outside the semigroup of the others, searched
+        within this cone (it contains theirs)."""
+        dual = (self.facets, self.equations)
         return sorted(
             g
             for g in self.gens
-            if not BruteSemigroup([h for h in self.gens if h != g], self.rank).member(g)
+            if not BruteSemigroup([h for h in self.gens if h != g], self.rank, dual).member(g)
         )
 
 

@@ -184,6 +184,12 @@ def test_member_requires_pointed():
         s.member((5,))
 
 
+def test_minimal_elements_requires_pointed():
+    s = AffineSemigroup(2, [(1, 0), (-1, 0), (0, 1)])
+    with pytest.raises(NotPointedError):
+        s.minimal_elements([(0, 1), (1, 1)])
+
+
 def test_minimal_generators_hand_and_brute():
     s = AffineSemigroup(1, [(2,), (3,), (4,), (5,), (7,)])
     assert s.minimal_generators() == ((2,), (3,))
@@ -224,6 +230,20 @@ def test_unit_quotient_full_torus():
     image, u = unit_quotient(s)
     assert u == 1
     assert image.rank == 0
+
+
+def test_unit_quotient_of_units_filling_a_proper_subspace_is_a_named_error():
+    """The units of a line in Z^2 fill the generators' span but not the
+    lattice: a named error, not a constructor failure; canonicalized, the
+    line is a torus."""
+    line = AffineSemigroup(2, [(1, 0), (-1, 0)])
+    with pytest.raises(NotCanonicalError, match="canonicalize"):
+        unit_quotient(line)
+    with pytest.raises(NotCanonicalError, match="canonicalize"):
+        is_smooth(line)
+    image, u = unit_quotient(canonicalize(line.generators))
+    assert (image.rank, u) == (0, 1)
+    assert is_smooth(canonicalize(line.generators))
 
 
 def test_is_smooth_on_scrambled_orthants_and_singular_cones():
@@ -289,7 +309,7 @@ def test_certificate_tampering_fails_verification():
     rng = random.Random(307)
     t = scramble(s, rng)
     cert = isomorphic(s, t)
-    bad = IsoCertificate(matrix=((1, 0), (0, 1)), mapping=cert.mapping)
+    bad = IsoCertificate(matrix=((1, 0), (0, 1)))
     if bad.matrix != cert.matrix:
         assert not bad.verify(s, t)
 
@@ -436,23 +456,23 @@ def test_lineality_and_graded_generators_are_computed_once(monkeypatch):
 
 def test_membership_search_makes_no_containment_calls(monkeypatch):
     """The search prunes on slack vectors; no frame asks Cone.contains."""
-    contains_calls, member_calls = [], []
-    contains, member = nashlab.cones.Cone.contains, AffineSemigroup.member
+    contains_calls, search_calls = [], []
+    contains, search = nashlab.cones.Cone.contains, AffineSemigroup._search
 
     def counted_contains(self, x):
         contains_calls.append(x)
         return contains(self, x)
 
-    def counted_member(self, v):
-        member_calls.append(v)
-        return member(self, v)
+    def counted_search(self, x):
+        search_calls.append(x)
+        return search(self, x)
 
     charts = blowup_charts(minimalize(log_jacobian(from_preset("cdll"), 0)))
     monkeypatch.setattr(nashlab.cones.Cone, "contains", counted_contains)
-    monkeypatch.setattr(AffineSemigroup, "member", counted_member)
+    monkeypatch.setattr(AffineSemigroup, "_search", counted_search)
     for chart in charts:
         AffineSemigroup(chart.semigroup.rank, chart.semigroup.generators).minimal_generators()
-    assert len(charts) > 5 and member_calls
+    assert len(charts) > 5 and search_calls
     assert contains_calls == []
 
 
@@ -472,21 +492,6 @@ def test_presentations_share_the_cone():
     assert t._mingens == m.generators
     trivial = AffineSemigroup(0, [])
     assert trivial.minimal_presentation() == trivial.saturation() == trivial
-
-
-def test_positive_functional_separates():
-    rng = random.Random(309)
-    for _ in range(10):
-        gens = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(4)]
-        gens = [g for g in gens if any(g)]
-        if not gens:
-            continue
-        s = AffineSemigroup(3, gens)
-        if not s.is_pointed:
-            continue
-        ell = s.positive_functional()
-        for g in s.generators:
-            assert sum(a * b for a, b in zip(ell, g)) > 0
 
 
 def test_chart_minimal_generators_match_a_fresh_search():
@@ -514,9 +519,9 @@ def test_chart_minimal_generators_match_a_fresh_search():
 
 
 def test_minimal_generators_with_and_without_a_prior_member_search():
-    """Whether or not ``member`` has searched over every generator first,
-    leaving its memo behind, the minimal generators match the brute oracle
-    on random rank-3 semigroups, and they become the member grading."""
+    """Whether or not ``member`` has searched first, leaving its memo
+    behind, the minimal generators match the brute oracle on random rank-3
+    semigroups, and they are the member grading."""
     rng = random.Random(823)
     done = 0
     while done < 10:
@@ -527,7 +532,62 @@ def test_minimal_generators_with_and_without_a_prior_member_search():
         brute = BruteSemigroup(s.generators, 3).minimal_generators()
         searched = AffineSemigroup(3, s.generators)
         searched.member(tuple(map(sum, zip(*s.generators))))
-        assert len(searched._graded) == len(s.generators)
+        assert sorted(x for _, _, x in searched._graded) == brute
         assert list(s.minimal_generators()) == list(searched.minimal_generators()) == brute
-        assert len(searched._graded) == len(brute)
+        assert sorted(x for _, _, x in searched._graded) == brute
         done += 1
+
+
+def test_smooth_charts_stop_at_their_unit_slacks(monkeypatch):
+    """Every chart's minimal generators match the brute oracle (searched in
+    the chart's cone); a smooth chart's come from the sort alone, with no
+    member search, and a non-smooth chart still searches."""
+    searched = []
+    search = AffineSemigroup._search
+
+    def counted_search(self, x):
+        searched.append(x)
+        return search(self, x)
+
+    monkeypatch.setattr(AffineSemigroup, "_search", counted_search)
+    smooth = singular = 0
+    for _, chart in chart_corpus():
+        sg = chart.semigroup
+        fresh = AffineSemigroup.with_facets(sg.rank, sg.generators, sg.cone.facets)
+        brute = BruteSemigroup(sg.generators, sg.rank, (sg.cone.facets, ()))
+        del searched[:]
+        assert list(fresh.minimal_generators()) == brute.minimal_generators(), sg
+        if is_smooth(sg):
+            assert searched == [], sg
+            smooth += 1
+        else:
+            singular += bool(searched)
+    assert smooth > 800 and singular > 800
+
+
+def test_member_grading_is_the_minimal_generators_however_it_is_reached():
+    """``member`` answers alike before and after ``minimal_generators``,
+    after a pickle round trip and on the minimal presentation, and its
+    grading holds exactly the minimal generators each time."""
+    rng = random.Random(1101)
+    charts = [chart.semigroup for _, chart in chart_corpus()]
+    answers = set()
+    for sg in rng.sample(charts, 80):
+        g = sg.generators
+        probes = [tuple(map(sub, rng.choice(g), rng.choice(g))) for _ in range(15)]
+        probes += [
+            tuple(a + b - c for a, b, c in zip(rng.choice(g), rng.choice(g), rng.choice(g)))
+            for _ in range(15)
+        ]
+        first = AffineSemigroup.with_facets(sg.rank, g, sg.cone.facets)
+        expected = [first.member(v) for v in probes]
+        after = AffineSemigroup.with_facets(sg.rank, g, sg.cone.facets)
+        mins = after.minimal_generators()
+        loaded = pickle.loads(pickle.dumps(after))
+        presented = after.minimal_presentation()
+        for s in (after, loaded, presented):
+            assert [s.member(v) for v in probes] == expected, (g, s)
+        for s in (first, after, loaded, presented):
+            assert sorted(x for _, _, x in s._graded) == list(mins)
+        answers.update(expected)
+    assert answers == {True, False}
