@@ -87,7 +87,7 @@ def log_jacobian(s: AffineSemigroup, ch) -> MonomialIdeal:
     d = s.rank
     exps = set()
     for sub in combinations(s.generators, d):
-        dv = determinant([[g[i] for i in range(d)] for g in sub])
+        dv = determinant(sub)
         if (dv != 0) if ch == 0 else (dv % ch != 0):
             exps.add(tuple(sum(g[i] for g in sub) for i in range(d)))
     if not exps:

@@ -7,18 +7,17 @@ the caller already knows it.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from operator import sub
 
 from .intlinalg import (
     adjugate,
-    determinant,
     dot,
     hermite_normal_form,
     kernel_basis,
     matrix_rank,
     primitive,
-    smith_normal_form,
     vneg,
 )
 
@@ -192,31 +191,26 @@ class Cone:
 
 def _parallelepiped_points(rays, rank):
     """Nonzero lattice points of the half-open parallelepiped spanned by
-    ``rank`` linearly independent rays, via Smith normal form of the ray
-    matrix (one representative per residue class of Z^rank modulo the ray
-    sublattice).
+    ``rank`` rays; empty when the rays are dependent or unimodular.
 
+    The Hermite form H of the rays (as rows) is upper triangular with
+    |det| = H_11⋯H_dd, so the box ``0 ≤ x_i < H_ii`` holds one
+    representative per residue class of Z^rank modulo the ray sublattice.
     A representative ``g`` is moved into the parallelepiped as
     ``g - V * floor(V^-1 g)``, with ``V^-1 = adj / det`` and ``det > 0``.
     """
+    H, _ = hermite_normal_form(rays)
+    diagonal = [H[i][i] for i in range(rank)]
+    if prod(diagonal) <= 1:
+        return []
     V = [[rays[j][i] for j in range(rank)] for i in range(rank)]  # columns = rays
     adj, det = adjugate(V)
-    if det == 1:
-        return []
-    S, P, _ = smith_normal_form(V)
-    Pinv, det_p = adjugate(P)
-    if det_p != 1:
-        raise AssertionError("Smith transform must be unimodular")
-    points = set()
-    reps = [[]]
-    for i in range(rank):
-        reps = [r + [c] for r in reps for c in range(S[i][i])]
-    for rep in reps:
-        g = [sum(Pinv[i][j] * rep[j] for j in range(rank)) for i in range(rank)]
+    points = []
+    for g in product(*map(range, diagonal)):
         q = [dot(row, g) // det for row in adj]
         x = tuple(gi - dot(row, q) for gi, row in zip(g, V))
         if any(x):
-            points.add(x)
+            points.append(x)
     return sorted(points)
 
 
@@ -225,11 +219,11 @@ def hilbert_basis(cone):
     full-dimensional cone.
 
     Candidates are gathered from the half-open parallelepipeds of every
-    linearly independent rank-subset of the extreme rays (every point of the
-    cone lies in such a simplicial subcone), then reduced in order of
-    degree (the sum of the facet values, positive on the cone minus 0): x
-    is discarded when x - y lies in the cone for a kept candidate y of
-    lower degree, which is a comparison of facet values.
+    rank-subset of the extreme rays (every point of the cone lies in a
+    simplicial subcone; a dependent or unimodular subset adds none), then
+    reduced in order of degree (the sum of the facet values, positive on
+    the cone minus 0): x is discarded when x - y lies in the cone for a
+    kept candidate y of lower degree, which is a comparison of facet values.
     """
     if not cone.generators:
         raise DegenerateConeError("cone has no nonzero generators")
@@ -241,9 +235,6 @@ def hilbert_basis(cone):
     rays = cone.extreme_rays()
     cands = set(rays)
     for subset in combinations(rays, d):
-        M = [[subset[j][i] for j in range(d)] for i in range(d)]
-        if determinant(M) == 0:
-            continue
         cands.update(_parallelepiped_points(subset, d))
     slack = cone.slack
     kept = []  # x - y is in the cone iff slack(x) >= slack(y) entrywise

@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra over lattices.
 
-Everything here works with arbitrary-precision Python ints and
-``fractions.Fraction`` -- there is no floating point anywhere in this
-package.  Vectors are tuples of ints, matrices are sequences of rows.
+Everything here works with arbitrary-precision Python ints, and
+``solve_rational`` with ``fractions.Fraction`` -- there is no floating point
+anywhere in this package.  Vectors are tuples of ints, matrices are
+sequences of rows.
 """
 from __future__ import annotations
 

@@ -18,11 +18,8 @@ from .intlinalg import (
     determinant,
     dot,
     hermite_normal_form,
+    identity_matrix,
     kernel_basis,
-    matrix_rank,
-    smith_normal_form,
-    solve_rational,
-    vneg,
 )
 
 
@@ -246,12 +243,19 @@ class AffineSemigroup:
         return self._presented_by(hilbert_basis(self.cone) if self.rank else ())
 
 
+def _pivot_columns(H):
+    """Column of the first nonzero entry of each nonzero row of an echelon form."""
+    return [next(j for j, x in enumerate(row) if x) for row in H if any(row)]
+
+
 def canonicalize(gens) -> AffineSemigroup:
     """Re-coordinatize so the generated group is the full lattice.
 
-    Takes arbitrary integer vectors, drops zeros and duplicates, computes a
-    lattice basis of the generated group (Hermite normal form) and rewrites
-    every generator in that basis.
+    Takes arbitrary integer vectors, drops zeros and duplicates, takes the
+    nonzero rows of their Hermite normal form as a lattice basis of the
+    generated group, and rewrites every generator in that basis by forward
+    substitution: the basis is in echelon form, so each coordinate is the
+    generator's remaining entry at a pivot divided by the pivot.
     """
     pts = [tuple(g) for g in gens]
     if not pts:
@@ -264,44 +268,39 @@ def canonicalize(gens) -> AffineSemigroup:
     if not nz:
         raise ValueError("all generators are zero")
     H, _ = hermite_normal_form(nz)
-    basis = [row for row in H if any(row)]
-    r = len(basis)
-    Bt = [[basis[i][j] for i in range(r)] for j in range(dim)]
+    basis = list(zip([row for row in H if any(row)], _pivot_columns(H)))
     out = []
     for g in nz:
-        x = solve_rational(Bt, g)
-        if any(c.denominator != 1 for c in x):
+        coords = []
+        for row, c in basis:
+            q = g[c] // row[c]
+            g = [a - q * b for a, b in zip(g, row)]
+            coords.append(q)
+        if any(g):
             raise AssertionError("generator not in its own lattice basis span")
-        out.append(tuple(int(c) for c in x))
-    return AffineSemigroup(r, out)
+        out.append(tuple(coords))
+    return AffineSemigroup(len(basis), out)
 
 
 def unit_quotient(s: AffineSemigroup):
     """Quotient by the saturation of the unit group.
 
     Returns ``(pointed_image, unit_rank)``; a pointed input comes back
-    unchanged with unit rank 0.  Otherwise the generators in the lineality
-    space, a nonzero face, span the unit group U(Γ) = Γ ∩ (−Γ) as a lattice.
+    unchanged with unit rank 0.  Otherwise the units U(Γ) = Γ ∩ (−Γ) span
+    the lineality space of the cone, whose lattice points are the
+    saturation of U(Γ), and the integer functionals A that vanish on it
+    (a saturated kernel basis) map Z^rank onto Z^(rank − u): g ↦ A·g is
+    the quotient map, checked onto through the Hermite form of Aᵀ.
     """
     if s.is_pointed:
         return s, 0
-    units = [g for g in s.generators if s.cone.contains(vneg(g))]
-    d = s.rank
-    F = kernel_basis(units)
-    if F:
-        sat = kernel_basis(F)
-    else:
-        sat = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    u = len(sat)
-    M = [[sat[j][i] for j in range(u)] for i in range(d)]
-    S, P, _ = smith_normal_form(M)
-    for i in range(u):
-        if S[i][i] != 1:
-            raise AssertionError("saturated lattice must have unit invariant factors")
-    img = []
-    for g in s.generators:
-        y = [dot(P[i], g) for i in range(d)]
-        img.append(tuple(y[u:]))
+    lin = s.cone.lineality_basis()
+    d, u = s.rank, len(lin)
+    A = kernel_basis(lin)
+    H, _ = hermite_normal_form(list(zip(*A)))
+    if len(A) + u != d or [row for row in H if any(row)] != identity_matrix(d - u):
+        raise AssertionError("unit quotient map must be onto Z^(rank - u)")
+    img = [tuple(dot(a, g) for a in A) for g in s.generators]
     img = [g for g in img if any(g)]
     if u < d and not img:
         raise NotCanonicalError("the units fill the generators' span, a proper subspace; canonicalize them first")
@@ -317,8 +316,7 @@ def is_smooth(s: AffineSemigroup) -> bool:
     mg = pointed.minimal_generators()
     if len(mg) != pointed.rank:
         return False
-    M = [[g[i] for i in range(pointed.rank)] for g in mg]
-    return abs(determinant(M)) == 1
+    return abs(determinant(mg)) == 1
 
 
 @dataclass(frozen=True)
@@ -337,7 +335,7 @@ class IsoCertificate:
         d = source.rank
         if d == 0:
             return target.rank == 0
-        if len(self.matrix) != d or abs(determinant([list(r) for r in self.matrix])) != 1:
+        if len(self.matrix) != d or abs(determinant(self.matrix)) != 1:
             return False
         src = source.minimal_generators()
         tgt = set(target.minimal_generators())
@@ -419,18 +417,17 @@ def isomorphic(a: AffineSemigroup, b: AffineSemigroup):
     minimal generators of ``a`` bijectively onto those of ``b``, or None.
 
     Equal canonical keys pair the canonically ordered minimal generators;
-    the first ``rank`` independent ones of ``a`` and their partners in ``b``
-    fix the map, through one adjugate.  Both inputs must be pointed and
+    the first ``rank`` independent ones of ``a`` (the pivot columns of the
+    Hermite form of the matrix with columns ``ga``) and their partners in
+    ``b`` fix the map, through one adjugate.  Both inputs must be pointed and
     generate Z^rank (see :func:`canonicalize`); a violation found on the way
     raises :class:`NotPointedError` or :class:`NotCanonicalError`.
     """
     (ka, ga), (kb, gb) = canonical_form(a), canonical_form(b)
     if ka != kb:
         return None
-    d, basis = a.rank, []
-    for j, g in enumerate(ga):
-        if len(basis) < d and matrix_rank([ga[i] for i in basis] + [g]) == len(basis) + 1:
-            basis.append(j)
+    d = a.rank
+    basis = _pivot_columns(hermite_normal_form(list(zip(*ga)))[0])
     adj, det = adjugate(list(zip(*(ga[j] for j in basis))))
     # U · ga[j] = gb[j] for j in basis: U = B · adj / det, B with columns gb[j]
     U = [[sum(gb[j][t] * r[k] for j, r in zip(basis, adj)) for k in range(d)] for t in range(d)]

@@ -2,10 +2,13 @@
 sweeps, DOT emission, and byte-level determinism."""
 import io
 import json
+import sys
 
 import pytest
 
+import nashlab.intlinalg
 from nashlab.cli import main
+from nashlab.cones import Cone
 
 
 def run_cli(args, capsys):
@@ -207,3 +210,29 @@ def test_reports_are_deterministic_across_runs_and_jobs(capsys):
 def test_pretty_flag_indents(capsys):
     _, out, _ = run_cli(["describe", "example:nobile", "--pretty"], capsys)
     assert out.startswith("{\n  ")
+
+
+def test_pipeline_runs_without_smith_form_rational_solving_or_containment(capsys, monkeypatch):
+    """Runs use the Hermite form as their one lattice normal form: every
+    binding of ``smith_normal_form`` and ``solve_rational`` in a ``nashlab``
+    module, and ``Cone.contains``, raise, and the runs still succeed."""
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the pipeline must not call this")
+
+    for name in ("smith_normal_form", "solve_rational"):
+        original = getattr(nashlab.intlinalg, name)
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "nashlab"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, unused)
+    monkeypatch.setattr(Cone, "contains", unused)
+
+    assert run_cli(["nash", "example:cdll", "--max-depth", "1"], capsys)[0] == 2
+    assert run_cli(["sweep", "cyclic_quotient", "--b-max", "8", "--normalized"], capsys)[0] == 0
+    # an A1 surface times a torus, in other lattice coordinates
+    torus = {"generators": [[1, 0, 0], [1, 1, 0], [1, 2, 0], [1, -1, 1], [-1, 1, -1]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(torus)))
+    code, out, _ = run_cli(["nash", "-", "--full-tree"], capsys)
+    assert code == 0 and json.loads(out)["nodes"][0]["unit_rank"] == 1
+    code, out, _ = run_cli(["describe", "example:reeve:3", "--saturate"], capsys)
+    assert code == 0 and json.loads(out)["hilbert_basis"]

@@ -201,20 +201,27 @@ def test_hilbert_basis_matches_box_oracle():
 
 
 def test_parallelepiped_points_match_fraction_oracle():
+    """Eight dependent, unimodular and other ray sets in each rank 2-4:
+    the first two give no point, the others match the box oracle."""
     rng = random.Random(405)
-    done = {2: 0, 3: 0, 4: 0}
+    kinds = ("dependent", "unimodular", "other")
+    done = {(d, kind): 0 for d in (2, 3, 4) for kind in kinds}
     while min(done.values()) < 8:
-        d = rng.choice([k for k, n in done.items() if n < 8])
+        d = rng.choice([2, 3, 4])
         rays = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d)]
         det = frac_det([[r[i] for r in rays] for i in range(d)])
-        if det == 0 or abs(det) > 30:
+        kind = kinds[min(abs(int(det)), 2)]
+        if abs(det) > 30 or done[d, kind] == 8:
             continue
         swapped = [rays[1], rays[0]] + rays[2:]  # the opposite sign of the determinant
         for order in (rays, swapped):
             points = _parallelepiped_points(order, d)
+            if det == 0:
+                assert points == []
+                continue
             assert points == brute_parallelepiped_points(order, d)
             assert len(points) == abs(det) - 1
-        done[d] += 1
+        done[d, kind] += 1
 
 
 def test_hilbert_basis_rejects_bad_cones():

@@ -10,7 +10,7 @@ import nashlab.cones
 from nashlab.blowup import blowup_charts, log_jacobian, minimalize
 from nashlab.cones import Cone, hilbert_basis
 from nashlab.families import from_preset
-from nashlab.intlinalg import kernel_basis
+from nashlab.intlinalg import hermite_normal_form, identity_matrix, kernel_basis, matrix_rank
 from nashlab.semigroups import (
     AffineSemigroup,
     IsoCertificate,
@@ -66,6 +66,54 @@ def test_canonicalize_idempotent_on_scrambles():
         again = canonicalize(s.generators)
         assert again.rank == s.rank
         assert again.generators == s.generators
+
+
+def _generates_the_lattice(vectors, r):
+    H, _ = hermite_normal_form(vectors)
+    return [row for row in H if any(row)] == identity_matrix(r)
+
+
+def _linear_pairing(inputs, outputs):
+    """Whether some bijection pairs each input with an output so that one
+    linear map carries every input to its partner: the rows (output, input)
+    then have the rank of the inputs alone.  Backtracking over partners."""
+
+    def extend(pairs, rest):
+        if not rest:
+            return True
+        i = len(pairs)
+        want = matrix_rank([g for _, g in pairs] + [inputs[i]])
+        return any(
+            matrix_rank([o + g for o, g in pairs] + [rest[k] + inputs[i]]) == want
+            and extend(pairs + [(rest[k], inputs[i])], rest[:k] + rest[k + 1:])
+            for k in range(len(rest))
+        )
+
+    return len(inputs) == len(outputs) and extend([], list(outputs))
+
+
+def test_canonicalize_on_sublattices_and_lower_dimensional_spans():
+    """Random generators of a rank-r sublattice of Z^dim (dims 1-5, often of
+    index > 1 in its saturation): the output generates Z^r and pairs with
+    the input under one linear map, so the same linear relations hold."""
+    rng = random.Random(311)
+    done = 0
+    while done < 40:
+        dim = rng.randint(1, 5)
+        r = rng.randint(1, dim)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(r)]
+        gens = {
+            tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(dim))
+            for coeffs in ([rng.randint(-2, 2) for _ in range(r)] for _ in range(r + 2))
+        }
+        gens = sorted(g for g in gens if any(g))
+        if not gens or matrix_rank(gens) != r:
+            continue
+        s = canonicalize(gens)
+        assert s.rank == r
+        assert _generates_the_lattice(s.generators, r)
+        assert _linear_pairing(gens, s.generators)
+        done += 1
 
 
 def test_canonicalize_rejects_bad_input():
@@ -244,6 +292,26 @@ def test_unit_quotient_of_units_filling_a_proper_subspace_is_a_named_error():
     image, u = unit_quotient(canonicalize(line.generators))
     assert (image.rank, u) == (0, 1)
     assert is_smooth(canonicalize(line.generators))
+
+
+def test_unit_quotient_of_a_moved_product_with_a_torus():
+    """P ⊕ Z^u in a random unimodular frame, ranks 2-5, with unit parts
+    added to P's generators: the unit rank is u, the image generates
+    Z^(rank - u), and its minimal presentation is isomorphic to P's."""
+    rng = random.Random(312)
+    for _ in range(24):
+        d = rng.randint(2, 5)
+        u = rng.randint(1, d - 1)
+        p = _random_pointed(rng, d - u)
+        gens = [g + tuple(rng.randint(-2, 2) for _ in range(u)) for g in p.generators]
+        for i in range(u):
+            unit = tuple(int(j == i) for j in range(u))
+            gens += [(0,) * (d - u) + unit, (0,) * (d - u) + tuple(-x for x in unit)]
+        m = rand_unimodular(rng, d)
+        image, unit_rank = unit_quotient(AffineSemigroup(d, [apply_matrix(m, g) for g in gens]))
+        assert unit_rank == u and image.rank == d - u
+        assert _generates_the_lattice(image.generators, d - u)
+        assert isomorphic(image.minimal_presentation(), p.minimal_presentation()) is not None
 
 
 def test_is_smooth_on_scrambled_orthants_and_singular_cones():
