@@ -3,20 +3,22 @@
 These hypersurfaces are toric: the semigroup generated by (r,0), (0,r),
 (p,q) after rescaling to the full lattice.  Iterating the plain Nash
 blowup — saturation never applied — terminates for the whole family; this
-script sweeps all parameter triples with entries at most 4.
+script sweeps all parameter triples with entries at most 4, sharing one
+dict of chart expansions, so each chart class is blown up once per sweep.
 """
 from math import gcd
 
 from nashlab import RunConfig, is_smooth, rebassoo, run
 
 rows = []
+expansions = {}
 for p in range(1, 5):
     for q in range(1, 5):
         for r in range(1, 5):
             if gcd(gcd(p, q), r) != 1:
                 continue
             s = rebassoo(p, q, r)
-            tree = run(s, RunConfig(characteristic=0))
+            tree = run(s, RunConfig(characteristic=0), expansions=expansions)
             rows.append(((p, q, r), is_smooth(s), tree.stats()["depth_reached"],
                          tree.verdict_summary))
 
@@ -24,4 +26,5 @@ print("(p,q,r)  already smooth  depth  verdict")
 for params, smooth, depth, verdict in rows:
     print(f"{str(params).ljust(9)}{str(smooth).ljust(15)}{str(depth).ljust(7)}{verdict}")
 assert all(v == "Resolved" for *_, v in rows)
-print(f"\nall {len(rows)} instances resolved without normalization")
+print(f"\nall {len(rows)} instances resolved without normalization, "
+      f"expanding {len(expansions)} chart classes")

@@ -169,8 +169,9 @@ def cmd_sweep(args) -> int:
     instances = _sweep_instances(args)
     config = _run_config(args)
     rows = []
+    expansions = {}  # shared: each chart class is expanded once per sweep
     for params, s in instances:
-        tree = run(s, config, jobs=args.jobs)
+        tree = run(s, config, jobs=args.jobs, expansions=expansions)
         stats = tree.stats()
         rows.append(
             {

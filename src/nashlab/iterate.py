@@ -9,6 +9,15 @@ with a verified unimodular certificate), and ``DepthLimit`` (depth or node
 budget exhausted, or an empty ideal).  The class graph has the edges
 parent -> child plus Cycle leaf -> representative; a Cycle leaf that this
 graph leads back to certifies that the iteration never terminates.
+
+The same fact spans runs: :func:`run` keeps each class's expansion, as
+plain data, in a dict that a sweep shares across its instances.  A later
+chart of a stored class gets the stored children carried through its
+verified :class:`~nashlab.semigroups.IsoCertificate` U: for a lattice
+automorphism U, the charts of U·Γ are U times the charts of Γ, in every
+characteristic, since U keeps every determinant up to sign.  Their vertex
+certificates follow by the same equivariance (c·U⁻¹ for U·e) from those
+checked when the representative was expanded.
 """
 from __future__ import annotations
 
@@ -18,6 +27,7 @@ from dataclasses import dataclass, field
 from .blowup import EmptyLogJacobian, step_charts, validate_characteristic
 from .semigroups import (
     AffineSemigroup,
+    canonical_form,
     invariant_key,
     is_smooth,
     isomorphic,
@@ -187,6 +197,43 @@ def _expand_worker(args):
     return ("ok", [(c.base_exponent, c.semigroup) for c in charts])
 
 
+def _presented(rank, generators, facets):
+    """A chart from plain data: minimally generated by ``generators``, its
+    cone given by its primitive facet normals ``facets``."""
+    sg = AffineSemigroup.with_facets(rank, generators, facets)
+    sg._mingens = sg.generators
+    return sg
+
+
+def _stored(sg, result):
+    """The expansion ``result`` of the class representative ``sg`` as plain
+    data: ``sg``'s canonical form, which holds its rank and minimal
+    generators, and each child as ``(base, generators, facets)``.  No
+    semigroup is kept, so the nodes and their caches stay collectable."""
+    status, payload = result
+    if status == "empty":
+        return result
+    return status, canonical_form(sg), [(base, c.generators, c.cone.facets) for base, c in payload]
+
+
+def _carried(entry, sg):
+    """The expansion of ``sg``, as :func:`_expand_worker` returns it, from
+    the stored expansion ``entry`` of its class: the children carried by
+    the verified certificate U from the representative onto ``sg``, at
+    base exponents U·e, in base-exponent order like :func:`step_charts`."""
+    if entry[0] == "empty":
+        return entry
+    _, form, children = entry
+    (rank, _), gens = form
+    rep = AffineSemigroup(rank, gens)
+    rep._mingens, rep._key = rep.generators, form
+    cert = isomorphic(rep, sg)
+    if cert is None or not cert.verify(rep, sg):
+        raise AssertionError("stored class representative not verified isomorphic to the chart")
+    charts = [(cert.apply(base), cert.image(_presented(rank, g, f))) for base, g, f in children]
+    return "ok", sorted(charts, key=lambda c: c[0])
+
+
 def _mark_closed_cycles(nodes) -> None:
     """Set ``closes_cycle`` on every Cycle leaf whose target reaches the leaf
     again along the edges parent -> child and Cycle leaf -> target."""
@@ -204,7 +251,12 @@ def _mark_closed_cycles(nodes) -> None:
         leaf.closes_cycle = leaf.id in seen
 
 
-def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -> IterationTree:
+def run(
+    root: AffineSemigroup,
+    config: RunConfig | None = None,
+    jobs: int = 1,
+    expansions: dict | None = None,
+) -> IterationTree:
     """Iterate the (normalized) Nash blowup from ``root`` breadth-first.
 
     Within each level, nodes are first classified in id order and only then
@@ -212,8 +264,14 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
     the representative of an earlier class (sibling, cousin or ancestor)
     is a ``Cycle`` leaf pointing at it and is not expanded.  Any other chart
     becomes its class's representative and is expanded unless a budget
-    stops it.  Children enter the next level in ``step_charts`` order.  The
-    result is byte-identical for any ``jobs`` value.
+    stops it.  Children enter the next level in ``step_charts`` order.
+
+    ``expansions`` maps ``(characteristic, normalized, invariant_key)`` to a
+    class's stored expansion; pass one dict to several runs to share them.
+    Only a chart whose key is missing is expanded (in the pool when
+    ``jobs > 1``) and stored; any other gets the stored children carried
+    through a verified isomorphism from the stored representative.  The
+    result is byte-identical for any ``jobs`` value and any ``expansions``.
     """
     if config is None:
         config = RunConfig()
@@ -224,19 +282,22 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
     nodes = [IterationNode(id=0, semigroup=pointed, parent=None, depth=0, unit_rank=unit_rank)]
     level = [0]
     classes = {}  # invariant_key -> id of the class representative
+    if expansions is None:
+        expansions = {}
     pool = None
     if jobs > 1:
         pool = multiprocessing.Pool(processes=jobs)
     try:
         while level:
-            expandable = []
+            expandable = {}  # id -> key of its stored expansion, in id order
             for nid in level:
                 node = nodes[nid]
                 sg = node.semigroup
                 if is_smooth(sg):
                     node.verdict = "Smooth"
                     continue
-                t = classes.setdefault(invariant_key(sg), nid)
+                key = invariant_key(sg)
+                t = classes.setdefault(key, nid)
                 if t != nid:
                     cert = isomorphic(sg, nodes[t].semigroup)
                     if cert is None:
@@ -249,20 +310,25 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
                     node.verdict = "DepthLimit"
                     node.annotation = "depth limit reached"
                     continue
-                expandable.append(nid)
+                expandable[nid] = (config.characteristic, config.normalized, key)
 
+            fresh = [nid for nid, key in expandable.items() if key not in expansions]
             tasks = [
                 (nodes[nid].semigroup, config.characteristic, config.normalized)
-                for nid in expandable
+                for nid in fresh
             ]
             if pool is not None and tasks:
                 results = pool.map(_expand_worker, tasks)
             else:
                 results = [_expand_worker(t) for t in tasks]
+            results = dict(zip(fresh, results))
+            for nid, result in results.items():
+                expansions[expandable[nid]] = _stored(nodes[nid].semigroup, result)
 
             next_level = []
-            for nid, (status, payload) in zip(expandable, results):
+            for nid in expandable:
                 node = nodes[nid]
+                status, payload = results.get(nid) or _carried(expansions[expandable[nid]], node.semigroup)
                 if status == "empty":
                     node.verdict = "DepthLimit"
                     node.annotation = f"empty logarithmic Jacobian ideal: {payload}"
@@ -272,7 +338,8 @@ def run(root: AffineSemigroup, config: RunConfig | None = None, jobs: int = 1) -
                     node.annotation = "node budget exhausted"
                     continue
                 for base, sg in payload:
-                    # charts are pointed and sit at certified vertices
+                    # charts are pointed and sit at certified vertices (carried
+                    # ones by equivariance from their representative's)
                     child = IterationNode(
                         id=len(nodes),
                         semigroup=sg,

@@ -342,6 +342,22 @@ class IsoCertificate:
         image = {self.apply(g) for g in src}
         return image == tgt and len(image) == len(src)
 
+    def image(self, s: AffineSemigroup) -> AffineSemigroup:
+        """U·s for a full-dimensional s presented by its minimal generators:
+        generators U·g, and the rows of F·U⁻¹ as facets, since
+        (f·U⁻¹)·(U·g) = f·g.  U⁻¹ is the adjugate, as |det U| = 1 is checked;
+        the result's cone checks its facets on its generators, and U, a
+        lattice automorphism, keeps the generators minimal."""
+        if s.cone.span_equations or s.minimal_generators() != s.generators:
+            raise NotCanonicalError("image needs a full-dimensional, minimally presented semigroup")
+        inverse, det = adjugate(self.matrix)
+        if det != 1:
+            raise AssertionError("certificate is not unimodular")
+        facets = [tuple(dot(f, col) for col in zip(*inverse)) for f in s.cone.facets]
+        out = AffineSemigroup.with_facets(s.rank, map(self.apply, s.generators), facets)
+        out._mingens = out.generators
+        return out
+
 
 def _ranks(signatures):
     """Rank of each signature among the distinct ones: an order-free colour."""

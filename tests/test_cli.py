@@ -207,6 +207,16 @@ def test_reports_are_deterministic_across_runs_and_jobs(capsys):
     assert _strip_timing(out1) == _strip_timing(out2) == _strip_timing(out3)
 
 
+def test_sweep_is_identical_across_jobs(capsys):
+    """A sweep shares expansions across its instances; ``--jobs`` spreads
+    only the fresh ones, so the report does not depend on it."""
+    base = ["sweep", "cyclic_quotient", "--b-max", "10", "--normalized"]
+    code, out1, _ = run_cli(base + ["--jobs", "1"], capsys)
+    assert code == 0
+    _, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
+    assert out1 == out2
+
+
 def test_pretty_flag_indents(capsys):
     _, out, _ = run_cli(["describe", "example:nobile", "--pretty"], capsys)
     assert out.startswith("{\n  ")

@@ -1,5 +1,7 @@
 """Iteration driver: verdicts on the class graph, budgets, determinism,
-coordinate invariance, DOT and JSON serialization."""
+coordinate invariance, expansions shared across runs, DOT and JSON
+serialization."""
+import json
 import random
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 import nashlab.blowup
 import nashlab.cones
 import nashlab.iterate
+from nashlab.blowup import EmptyLogJacobian, step_charts
+from nashlab.cli import _run_config, _sweep_instances, build_parser
 from nashlab.families import (
     counterexample_x,
     cyclic_quotient,
@@ -23,9 +27,9 @@ from nashlab.iterate import (
     default_max_depth,
     run,
 )
-from nashlab.semigroups import AffineSemigroup, canonicalize
+from nashlab.semigroups import AffineSemigroup, IsoCertificate, canonicalize
 
-from .helpers import scramble
+from .helpers import chart_corpus, rand_unimodular, scramble
 
 
 def test_run_config_validation():
@@ -265,11 +269,9 @@ def test_empty_log_jacobian_becomes_depth_limit():
 def test_roots_are_reported_identically_across_runs_and_jobs():
     s = counterexample_x()
     cfg = RunConfig(characteristic=0, max_depth=2, max_nodes=80)
-    import json
-
-    a = json.dumps(run(s, cfg).to_json_dict(full=True), sort_keys=True)
-    b = json.dumps(run(s, cfg).to_json_dict(full=True), sort_keys=True)
-    c = json.dumps(run(s, cfg, jobs=2).to_json_dict(full=True), sort_keys=True)
+    a = _report(run(s, cfg))
+    b = _report(run(s, cfg))
+    c = _report(run(s, cfg, jobs=2))
     assert a == b == c
 
 
@@ -320,3 +322,156 @@ def test_verdict_priority_smooth_over_cycle():
     assert len(smooth_nodes) >= 2
     assert all(n.verdict != "Cycle" for n in tree.nodes if n.verdict == "Smooth")
     assert tree.verdict_summary == "Resolved"
+
+
+def _report(tree):
+    return json.dumps(tree.to_json_dict(full=True), sort_keys=True)
+
+
+def _sweep(*argv):
+    """The instances and config of ``nashlab sweep argv``."""
+    args = build_parser().parse_args(["sweep", *argv])
+    return [s for _, s in _sweep_instances(args)], _run_config(args)
+
+
+def _assert_same_charts(carried, direct):
+    """``carried`` ``(base, semigroup)`` pairs equal ``step_charts`` output:
+    base exponents in the same order, generators, facets and minimality."""
+    assert [base for base, _ in carried] == [c.base_exponent for c in direct]
+    for (_, sg), c in zip(carried, direct):
+        assert sg.generators == c.semigroup.generators
+        assert sg.cone.facets == c.semigroup.cone.facets
+        assert sg._mingens == c.semigroup._mingens == sg.generators
+
+
+def test_carried_expansions_equal_direct_ones(monkeypatch):
+    """Charts of U·Γ are U times the charts of Γ: every expansion that a run
+    carries from a stored class equals ``step_charts`` on the chart itself,
+    over small sweeps in several characteristics, plain and normalized."""
+    corpus = [_sweep("cyclic_quotient", "--b-max", "14", "--char", str(ch), *flag)
+              for ch in (0, 2, 3) for flag in ((), ("--normalized",))]
+    corpus.append(_sweep("rebassoo", "--max-entry", "3"))
+    corpus += [_sweep("reeve", "--q-max", "3", "--max-depth", "3", "--char", str(ch))
+               for ch in (0, 2)]
+    hits = []
+    carried = nashlab.iterate._carried
+
+    def recorded(entry, sg):
+        hits.append((sg, carried(entry, sg)))
+        return hits[-1][1]
+
+    monkeypatch.setattr(nashlab.iterate, "_carried", recorded)
+    checked = 0
+    for roots, cfg in corpus:
+        shared = {}
+        for root in roots:
+            run(root, cfg, expansions=shared)
+        for sg, (status, payload) in hits:
+            if status == "empty":
+                with pytest.raises(EmptyLogJacobian):
+                    step_charts(sg, cfg.characteristic, cfg.normalized)
+            else:
+                _assert_same_charts(payload, step_charts(sg, cfg.characteristic, cfg.normalized))
+        checked += len(hits)
+        hits.clear()
+    assert checked > 500
+
+
+def test_charts_carry_through_unimodular_maps():
+    """The cross-instance orbit test: a chart moved by a seeded unimodular U
+    has the charts of the original, moved by U, in characteristics
+    0/2/3/5, plain and normalized."""
+    rng = random.Random(1301)
+    parents = sorted({chart.semigroup for depth, chart in chart_corpus()
+                      if depth == 1 and chart.semigroup.rank <= 3},
+                     key=lambda s: (s.rank, s.generators))
+    for chart in rng.sample(parents, 24):
+        for normalized in (False, True):
+            parent = chart.saturation() if normalized else chart.minimal_presentation()
+            cert = IsoCertificate(matrix=tuple(map(tuple, rand_unimodular(rng, parent.rank))))
+            moved = cert.image(parent)
+            for ch in (0, 2, 3, 5):
+                try:
+                    direct = step_charts(parent, ch, normalized)
+                except EmptyLogJacobian:
+                    with pytest.raises(EmptyLogJacobian):
+                        step_charts(moved, ch, normalized)
+                    continue
+                carried = sorted(((cert.apply(c.base_exponent), cert.image(c.semigroup))
+                                  for c in direct), key=lambda c: c[0])
+                _assert_same_charts(carried, step_charts(moved, ch, normalized))
+
+
+@pytest.mark.parametrize("argv", [("cyclic_quotient", "--b-max", "12"),
+                                  ("rebassoo", "--max-entry", "2")])
+def test_shared_expansions_give_the_fresh_reports(argv):
+    roots, cfg = _sweep(*argv)
+    shared = {}
+    for root in roots:
+        assert _report(run(root, cfg, expansions=shared)) == _report(run(root, cfg))
+    assert shared
+
+
+def test_one_dict_serves_several_configs():
+    """The stored key holds the characteristic and normalization, so one
+    dict reused for char 0, then char 2, then normalized runs still gives
+    every fresh report."""
+    shared = {}
+    for flags in ((), ("--char", "2"), ("--normalized",)):
+        roots, cfg = _sweep("cyclic_quotient", "--b-max", "9", *flags)
+        for root in roots:
+            assert _report(run(root, cfg, expansions=shared)) == _report(run(root, cfg))
+    assert {key[:2] for key in shared} == {(0, False), (2, False), (0, True)}
+
+
+def test_a_sweep_expands_each_class_once(monkeypatch):
+    """With one dict per sweep, each chart class is expanded once; every
+    other expandable chart costs one verified isomorphism instead."""
+    counts = {"expanded": 0, "isomorphic": 0}
+    step, isomorphic = nashlab.iterate.step_charts, nashlab.iterate.isomorphic
+
+    def counted_step_charts(*args):
+        counts["expanded"] += 1
+        return step(*args)
+
+    def counted_isomorphic(a, b):
+        counts["isomorphic"] += 1
+        return isomorphic(a, b)
+
+    monkeypatch.setattr(nashlab.iterate, "step_charts", counted_step_charts)
+    monkeypatch.setattr(nashlab.iterate, "isomorphic", counted_isomorphic)
+    roots, cfg = _sweep("cyclic_quotient", "--b-max", "24", "--normalized")
+    shared = {}
+    trees = [run(root, cfg, expansions=shared) for root in roots]
+    cycles = sum(n.verdict == "Cycle" for t in trees for n in t.nodes)
+    assert counts["expanded"] == len(shared) == 121
+    assert counts["isomorphic"] - cycles == 512 - 121
+
+
+def test_a_bad_certificate_or_stored_entry_fails_loudly(monkeypatch):
+    """cyclic_quotient(3, 5) is cyclic_quotient(2, 5) with the axes swapped,
+    so its root is carried from the other's stored expansion; a certificate
+    that does not map the representative onto it, or stored facets that are
+    negative on a generator, raise instead of giving a chart."""
+    cfg = RunConfig()
+    shared = {}
+    run(cyclic_quotient(2, 5), cfg, expansions=shared)
+    key = next(iter(shared))
+    good = shared[key]
+    with monkeypatch.context() as m:
+        m.setattr(nashlab.iterate, "isomorphic", lambda a, b: IsoCertificate(((1, 0), (0, 1))))
+        with pytest.raises(AssertionError, match="not verified isomorphic"):
+            run(cyclic_quotient(3, 5), cfg, expansions=shared)
+    with monkeypatch.context() as m:
+        m.setattr(nashlab.iterate, "isomorphic", lambda a, b: IsoCertificate(((0, 2), (1, 0))))
+        with pytest.raises(AssertionError, match="not verified isomorphic"):
+            run(cyclic_quotient(3, 5), cfg, expansions=shared)
+    status, rep, children = good
+    (base, gens, facets), *rest = children
+    negated = [tuple(-x for x in f) for f in facets]
+    shared[key] = (status, rep, [(base, gens, negated), *rest])
+    with pytest.raises(AssertionError, match="facet is negative"):
+        run(cyclic_quotient(3, 5), cfg, expansions=shared)
+    shared[key] = good
+    assert _report(run(cyclic_quotient(3, 5), cfg, expansions=shared)) == _report(
+        run(cyclic_quotient(3, 5), cfg))

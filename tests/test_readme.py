@@ -35,6 +35,7 @@ def test_readme_library_example_runs():
     assert tree.verdict_summary == "CounterexampleCycle"
     assert len(tree.nodes) == 250
     assert out.getvalue().splitlines()[0] == "CounterexampleCycle"
+    assert len(namespace["expansions"]) == 6
 
 
 def test_readme_command_lines_exit_as_stated():

@@ -382,6 +382,36 @@ def test_certificate_tampering_fails_verification():
         assert not bad.verify(s, t)
 
 
+def test_image_carries_generators_facets_and_minimality():
+    """``image`` maps a minimally presented chart onto U·Γ: its facets
+    (the rows of F·U⁻¹) are the ones a double description of the moved
+    generators finds, and the moved generators are minimal."""
+    rng = random.Random(309)
+    charts = [chart.semigroup.minimal_presentation() for _, chart in chart_corpus()]
+    for s in rng.sample(charts, 30):
+        cert = IsoCertificate(matrix=tuple(map(tuple, rand_unimodular(rng, s.rank))))
+        t = cert.image(s)
+        assert t.generators == tuple(sorted(cert.apply(g) for g in s.generators))
+        assert t.cone.facets == Cone(t.rank, t.generators).facets
+        assert t.minimal_generators() == t.generators
+        assert AffineSemigroup(t.rank, t.generators).minimal_generators() == t.generators
+        assert cert.verify(s, t)
+
+
+def test_image_refuses_a_bad_certificate_or_input():
+    s = canonicalize([(1, 0), (1, 1), (1, 2)])
+    with pytest.raises(AssertionError, match="not unimodular"):
+        IsoCertificate(matrix=((2, 0), (0, 1))).image(s)
+    with pytest.raises(ValueError, match="singular"):
+        IsoCertificate(matrix=((1, 1), (1, 1))).image(s)
+    padded = AffineSemigroup(2, list(s.generators) + [(2, 2)])
+    with pytest.raises(NotCanonicalError):
+        IsoCertificate(matrix=((0, 1), (1, 0))).image(padded)
+    flat = AffineSemigroup(2, [(1, 0), (2, 0)])
+    with pytest.raises(NotCanonicalError):
+        IsoCertificate(matrix=((0, 1), (1, 0))).image(flat)
+
+
 def test_invariant_key_is_an_isomorphism_invariant():
     rng = random.Random(308)
     for _ in range(10):
