@@ -212,7 +212,8 @@ def _add_run_flags(p):
     p.add_argument("--normalized", action="store_true", help="saturate every chart (normalized blowup)")
     p.add_argument("--max-depth", type=int, default=None, help="iteration depth cap")
     p.add_argument("--max-nodes", type=int, default=500, help="total chart budget")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for fresh chart expansions, started only when a run has one")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
 

@@ -197,14 +197,6 @@ def _expand_worker(args):
     return ("ok", [(c.base_exponent, c.semigroup) for c in charts])
 
 
-def _presented(rank, generators, facets):
-    """A chart from plain data: minimally generated by ``generators``, its
-    cone given by its primitive facet normals ``facets``."""
-    sg = AffineSemigroup.with_facets(rank, generators, facets)
-    sg._mingens = sg.generators
-    return sg
-
-
 def _stored(sg, result):
     """The expansion ``result`` of the class representative ``sg`` as plain
     data: ``sg``'s canonical form, which holds its rank and minimal
@@ -230,7 +222,7 @@ def _carried(entry, sg):
     cert = isomorphic(rep, sg)
     if cert is None or not cert.verify(rep, sg):
         raise AssertionError("stored class representative not verified isomorphic to the chart")
-    charts = [(cert.apply(base), cert.image(_presented(rank, g, f))) for base, g, f in children]
+    charts = [(cert.apply(base), cert.image(g, f)) for base, g, f in children]
     return "ok", sorted(charts, key=lambda c: c[0])
 
 
@@ -268,10 +260,13 @@ def run(
 
     ``expansions`` maps ``(characteristic, normalized, invariant_key)`` to a
     class's stored expansion; pass one dict to several runs to share them.
-    Only a chart whose key is missing is expanded (in the pool when
-    ``jobs > 1``) and stored; any other gets the stored children carried
-    through a verified isomorphism from the stored representative.  The
-    result is byte-identical for any ``jobs`` value and any ``expansions``.
+    Only a chart whose key is missing is expanded and stored; any other
+    gets the stored children carried through a verified isomorphism from
+    the stored representative.  With ``jobs > 1`` the fresh expansions run
+    in a pool of ``jobs`` processes, started at the first level that has
+    one and kept for the rest of the run; a run with none starts no pool.
+    The result is byte-identical for any ``jobs`` value and any
+    ``expansions``.
     """
     if config is None:
         config = RunConfig()
@@ -285,8 +280,6 @@ def run(
     if expansions is None:
         expansions = {}
     pool = None
-    if jobs > 1:
-        pool = multiprocessing.Pool(processes=jobs)
     try:
         while level:
             expandable = {}  # id -> key of its stored expansion, in id order
@@ -317,7 +310,9 @@ def run(
                 (nodes[nid].semigroup, config.characteristic, config.normalized)
                 for nid in fresh
             ]
-            if pool is not None and tasks:
+            if jobs > 1 and tasks:
+                if pool is None:
+                    pool = multiprocessing.Pool(processes=jobs)
                 results = pool.map(_expand_worker, tasks)
             else:
                 results = [_expand_worker(t) for t in tasks]

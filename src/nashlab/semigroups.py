@@ -10,6 +10,7 @@ which every blowup-facing operation assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import sub
 
 from .cones import Cone, hilbert_basis
@@ -342,19 +343,24 @@ class IsoCertificate:
         image = {self.apply(g) for g in src}
         return image == tgt and len(image) == len(src)
 
-    def image(self, s: AffineSemigroup) -> AffineSemigroup:
-        """U·s for a full-dimensional s presented by its minimal generators:
-        generators U·g, and the rows of F·U⁻¹ as facets, since
-        (f·U⁻¹)·(U·g) = f·g.  U⁻¹ is the adjugate, as |det U| = 1 is checked;
-        the result's cone checks its facets on its generators, and U, a
-        lattice automorphism, keeps the generators minimal."""
-        if s.cone.span_equations or s.minimal_generators() != s.generators:
-            raise NotCanonicalError("image needs a full-dimensional, minimally presented semigroup")
+    @cached_property
+    def _inverse_columns(self):
+        """The columns of U⁻¹, the adjugate of U once |det U| = 1 is checked."""
         inverse, det = adjugate(self.matrix)
         if det != 1:
             raise AssertionError("certificate is not unimodular")
-        facets = [tuple(dot(f, col) for col in zip(*inverse)) for f in s.cone.facets]
-        out = AffineSemigroup.with_facets(s.rank, map(self.apply, s.generators), facets)
+        return tuple(zip(*inverse))
+
+    def image(self, generators, facets) -> AffineSemigroup:
+        """U·Γ for the full-dimensional Γ minimally generated by
+        ``generators``, with primitive facet normals ``facets``, both plain
+        data as a stored expansion holds them: generators U·g, and the rows
+        of F·U⁻¹ as facets, since (f·U⁻¹)·(U·g) = f·g.  U⁻¹ is computed
+        once per certificate; the result's cone checks its facets on its
+        generators, and U, a lattice automorphism, keeps them minimal."""
+        cols = self._inverse_columns
+        facets = [tuple(dot(f, col) for col in cols) for f in facets]
+        out = AffineSemigroup.with_facets(len(self.matrix), map(self.apply, generators), facets)
         out._mingens = out.generators
         return out
 

@@ -1,14 +1,16 @@
 """Iteration driver: verdicts on the class graph, budgets, determinism,
-coordinate invariance, expansions shared across runs, DOT and JSON
-serialization."""
+coordinate invariance, expansions shared across runs, the worker pool's
+lifecycle, DOT and JSON serialization."""
 import json
 import random
+from collections import Counter
 
 import pytest
 
 import nashlab.blowup
 import nashlab.cones
 import nashlab.iterate
+import nashlab.semigroups
 from nashlab.blowup import EmptyLogJacobian, step_charts
 from nashlab.cli import _run_config, _sweep_instances, build_parser
 from nashlab.families import (
@@ -389,7 +391,7 @@ def test_charts_carry_through_unimodular_maps():
         for normalized in (False, True):
             parent = chart.saturation() if normalized else chart.minimal_presentation()
             cert = IsoCertificate(matrix=tuple(map(tuple, rand_unimodular(rng, parent.rank))))
-            moved = cert.image(parent)
+            moved = cert.image(parent.generators, parent.cone.facets)
             for ch in (0, 2, 3, 5):
                 try:
                     direct = step_charts(parent, ch, normalized)
@@ -397,7 +399,8 @@ def test_charts_carry_through_unimodular_maps():
                     with pytest.raises(EmptyLogJacobian):
                         step_charts(moved, ch, normalized)
                     continue
-                carried = sorted(((cert.apply(c.base_exponent), cert.image(c.semigroup))
+                carried = sorted(((cert.apply(c.base_exponent),
+                                   cert.image(c.semigroup.generators, c.semigroup.cone.facets))
                                   for c in direct), key=lambda c: c[0])
                 _assert_same_charts(carried, step_charts(moved, ch, normalized))
 
@@ -475,3 +478,113 @@ def test_a_bad_certificate_or_stored_entry_fails_loudly(monkeypatch):
     shared[key] = good
     assert _report(run(cyclic_quotient(3, 5), cfg, expansions=shared)) == _report(
         run(cyclic_quotient(3, 5), cfg))
+
+
+class _PoolRecorder:
+    """Stands in for ``multiprocessing`` inside ``nashlab.iterate``: records
+    each pool's start, maps, close and join, and maps in this process."""
+
+    def __init__(self):
+        self.events = []
+
+    def Pool(self, processes):  # noqa: N802  (mirrors multiprocessing.Pool)
+        events = self.events
+        events.append(("start", processes))
+
+        class RecordingPool:
+            def map(self, fn, tasks):
+                events.append("map")
+                return [fn(t) for t in tasks]
+
+            def close(self):
+                events.append("close")
+
+            def join(self):
+                events.append("join")
+
+        return RecordingPool()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    counter = _PoolRecorder()
+    monkeypatch.setattr(nashlab.iterate, "multiprocessing", counter)
+    return counter.events
+
+
+def test_a_pool_starts_once_at_the_first_fresh_expansion(pools):
+    """The root needs an expansion, so the pool starts at level 0 and serves
+    every later level; it is closed and joined once the run ends."""
+    tree = run(cyclic_quotient(11, 24), RunConfig(normalized=True), jobs=2)
+    maps = pools.count("map")
+    assert pools == [("start", 2), *["map"] * maps, "close", "join"]
+    assert 1 < maps <= tree.stats()["depth_reached"]
+
+
+def test_no_pool_without_a_fresh_expansion(pools):
+    """A smooth root, a run whose every class is already stored, and a
+    ``jobs=1`` run start no pool."""
+    run(canonicalize([(1, 0), (0, 1)]), RunConfig(), jobs=2)
+    shared = {}
+    run(cyclic_quotient(2, 5), RunConfig(), expansions=shared)
+    tree = run(cyclic_quotient(3, 5), RunConfig(), jobs=2, expansions=shared)
+    assert len(tree.nodes) > 1
+    run(cyclic_quotient(11, 24), RunConfig(normalized=True), jobs=1)
+    assert pools == []
+
+
+def test_a_failing_run_still_closes_its_pool(pools, monkeypatch):
+    """normalized cyclic_quotient(2, 3) expands its root in the pool, then
+    carries a child's class stored by cyclic_quotient(1, 3); a carry that
+    raises still closes and joins the pool."""
+    cfg = RunConfig(normalized=True)
+    shared = {}
+    run(cyclic_quotient(1, 3), cfg, expansions=shared)
+
+    def failing_carry(entry, sg):
+        raise RuntimeError("carry failed")
+
+    monkeypatch.setattr(nashlab.iterate, "_carried", failing_carry)
+    with pytest.raises(RuntimeError, match="carry failed"):
+        run(cyclic_quotient(2, 3), cfg, jobs=2, expansions=shared)
+    assert pools == [("start", 2), "map", "close", "join"]
+
+
+def test_a_carry_builds_each_child_once(monkeypatch):
+    """Carrying cyclic_quotient(2, 5)'s stored expansions onto
+    cyclic_quotient(3, 5) builds each carried child once (one
+    ``with_facets``) and inverts each certificate once (one ``adjugate``
+    besides the one inside ``isomorphic``)."""
+    counts = Counter()
+    carrying = []
+    carried, isomorphic = nashlab.iterate._carried, nashlab.iterate.isomorphic
+    with_facets = AffineSemigroup.with_facets.__func__
+    adjugate = nashlab.semigroups.adjugate
+
+    def counted_carried(entry, sg):
+        carrying.append(entry)
+        try:
+            status, payload = carried(entry, sg)
+        finally:
+            carrying.pop()
+        counts["carries"] += 1
+        counts["children"] += len(payload)
+        return status, payload
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if carrying:
+                counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    shared = {}
+    run(cyclic_quotient(2, 5), RunConfig(), expansions=shared)
+    monkeypatch.setattr(nashlab.iterate, "_carried", counted_carried)
+    monkeypatch.setattr(nashlab.iterate, "isomorphic", counted("isomorphic", isomorphic))
+    monkeypatch.setattr(nashlab.semigroups, "adjugate", counted("adjugate", adjugate))
+    monkeypatch.setattr(AffineSemigroup, "with_facets", classmethod(counted("with_facets", with_facets)))
+    run(cyclic_quotient(3, 5), RunConfig(), expansions=shared)
+    assert counts["carries"] == counts["isomorphic"] == 2
+    assert counts["with_facets"] == counts["children"] == 5
+    assert counts["adjugate"] - counts["isomorphic"] == counts["carries"]
