@@ -7,14 +7,14 @@ ideal (its 1x1 determinant vanishes mod 2), the ideal becomes principal,
 and blowing up a principal monomial ideal changes nothing: the step is an
 isomorphism and the iteration cycles forever.
 """
-from nashlab import RunConfig, log_jacobian, nash_step, numerical, run
+from nashlab import RunConfig, log_jacobian, numerical, run, step_charts
 
 cusp = numerical([2, 3])
 print("semigroup:", cusp.generators)
 
 for ch in (0, 2):
     ideal = log_jacobian(cusp, ch)
-    charts = nash_step(cusp, ch, False)
+    charts = [c.semigroup for c in step_charts(cusp, ch, False)]
     print(f"\ncharacteristic {ch}:")
     print("  log Jacobian exponents:", ideal.exponents)
     print("  charts after one step:", [c.generators for c in charts])

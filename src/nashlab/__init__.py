@@ -14,7 +14,6 @@ from .blowup import (
     blowup_charts,
     log_jacobian,
     minimalize,
-    nash_step,
     step_charts,
     validate_characteristic,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "kernel_basis",
     "log_jacobian",
     "minimalize",
-    "nash_step",
     "numerical",
     "rebassoo",
     "reeve",

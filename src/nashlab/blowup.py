@@ -163,12 +163,3 @@ def step_charts(s: AffineSemigroup, ch, normalized: bool) -> list:
         out.append(replace(chart, semigroup=sg))
     return out
 
-
-def nash_step(s: AffineSemigroup, ch, normalized: bool) -> list:
-    """Chart semigroups of one Nash (or normalized Nash) blowup step in
-    characteristic ``ch``, in lexicographic generator order."""
-    charts = step_charts(s, ch, normalized)
-    return [
-        c.semigroup
-        for c in sorted(charts, key=lambda c: (c.semigroup.rank, c.semigroup.generators))
-    ]

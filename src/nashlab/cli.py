@@ -13,6 +13,7 @@ import json
 import random
 import sys
 import time
+from contextlib import nullcontext
 from math import comb, gcd
 
 from . import families
@@ -82,9 +83,16 @@ def _run_config(args) -> RunConfig:
 def cmd_nash(args) -> int:
     root = _load_input(args.input)
     config = _run_config(args)
-    started = time.perf_counter()
-    tree = run(root, config, jobs=args.jobs)
-    elapsed = time.perf_counter() - started
+    try:  # opened before the run, so a bad path fails before any work
+        dot = open(args.dot, "w", encoding="utf-8") if args.dot else nullcontext()
+    except OSError as e:
+        raise CliError(f"cannot write {args.dot!r}: {e}")
+    with dot:
+        started = time.perf_counter()
+        tree = run(root, config, jobs=args.jobs)
+        elapsed = time.perf_counter() - started
+        if args.dot:
+            dot.write(tree.to_dot())
     report = {
         "schema": SCHEMA,
         "command": "nash",
@@ -92,9 +100,6 @@ def cmd_nash(args) -> int:
     }
     report.update(tree.to_json_dict(full=args.full_tree))
     report["timing_seconds"] = round(elapsed, 6)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(tree.to_dot())
     _emit(report, args.pretty)
     return _EXIT_BY_VERDICT[tree.verdict_summary]
 

@@ -10,9 +10,10 @@ budget exhausted, or an empty ideal).  The class graph has the edges
 parent -> child plus Cycle leaf -> representative; a Cycle leaf that this
 graph leads back to certifies that the iteration never terminates.
 
-The same fact spans runs: :func:`run` keeps each class's expansion, as
-plain data, in a dict that a sweep shares across its instances.  A later
-chart of a stored class gets the stored children carried through its
+The same fact spans runs and processes: :func:`run` keeps each class's
+expansion, as plain data, in a dict that a sweep shares across its
+instances, and a pool worker returns its expansion in that same form.  A
+later chart of a stored class gets the stored children carried through its
 verified :class:`~nashlab.semigroups.IsoCertificate` U: for a lattice
 automorphism U, the charts of U·Γ are U times the charts of Γ, in every
 characteristic, since U keeps every determinant up to sign.  Their vertex
@@ -188,34 +189,42 @@ class IterationTree:
         return "\n".join(lines) + "\n"
 
 
-def _expand_worker(args):
-    sg, ch, normalized = args
+def _expand(sg, ch, normalized):
+    """``("ok", [(base, chart), ...])`` in ``step_charts`` order, or ``("empty", reason)``."""
     try:
-        charts = step_charts(sg, ch, normalized)
+        return "ok", [(c.base_exponent, c.semigroup) for c in step_charts(sg, ch, normalized)]
     except EmptyLogJacobian as e:
-        return ("empty", str(e))
-    return ("ok", [(c.base_exponent, c.semigroup) for c in charts])
+        return "empty", str(e)
 
 
-def _stored(sg, result):
-    """The expansion ``result`` of the class representative ``sg`` as plain
-    data: ``sg``'s canonical form, which holds its rank and minimal
-    generators, and each child as ``(base, generators, facets)``.  No
-    semigroup is kept, so the nodes and their caches stay collectable."""
+def _plain(result):
+    """``result`` with each child as plain ``(base, generators, facets)``,
+    as a stored expansion holds it: no semigroup is kept, so the nodes and
+    their caches stay collectable."""
     status, payload = result
     if status == "empty":
         return result
-    return status, canonical_form(sg), [(base, c.generators, c.cone.facets) for base, c in payload]
+    return status, [(base, c.generators, c.cone.facets) for base, c in payload]
+
+
+def _expand_worker(task):
+    """The :func:`_plain` expansion, in a pool worker, of the chart given as
+    ``(rank, minimal generators, facets, characteristic, normalized)``."""
+    rank, gens, facets, ch, normalized = task
+    sg = AffineSemigroup.with_facets(rank, gens, facets)
+    sg._mingens = sg.generators
+    return _plain(_expand(sg, ch, normalized))
 
 
 def _carried(entry, sg):
-    """The expansion of ``sg``, as :func:`_expand_worker` returns it, from
-    the stored expansion ``entry`` of its class: the children carried by
-    the verified certificate U from the representative onto ``sg``, at
-    base exponents U·e, in base-exponent order like :func:`step_charts`."""
-    if entry[0] == "empty":
-        return entry
-    _, form, children = entry
+    """The expansion of ``sg``, as :func:`_expand` returns it, from the
+    stored expansion ``entry`` of its class, ``(canonical form of the
+    representative, plain expansion)``: the children carried by the
+    verified certificate U from the representative onto ``sg``, at base
+    exponents U·e, in base-exponent order like :func:`step_charts`."""
+    form, (status, children) = entry
+    if status == "empty":
+        return status, children
     (rank, _), gens = form
     rep = AffineSemigroup(rank, gens)
     rep._mingens, rep._key = rep.generators, form
@@ -265,6 +274,8 @@ def run(
     the stored representative.  With ``jobs > 1`` the fresh expansions run
     in a pool of ``jobs`` processes, started at the first level that has
     one and kept for the rest of the run; a run with none starts no pool.
+    A worker takes and returns plain data, a stored expansion, whose
+    children the run then carries like any other (by the identity map).
     The result is byte-identical for any ``jobs`` value and any
     ``expansions``.
     """
@@ -277,6 +288,7 @@ def run(
     nodes = [IterationNode(id=0, semigroup=pointed, parent=None, depth=0, unit_rank=unit_rank)]
     level = [0]
     classes = {}  # invariant_key -> id of the class representative
+    step = (config.characteristic, config.normalized)
     if expansions is None:
         expansions = {}
     pool = None
@@ -303,22 +315,21 @@ def run(
                     node.verdict = "DepthLimit"
                     node.annotation = "depth limit reached"
                     continue
-                expandable[nid] = (config.characteristic, config.normalized, key)
+                expandable[nid] = (*step, key)
 
-            fresh = [nid for nid, key in expandable.items() if key not in expansions]
-            tasks = [
-                (nodes[nid].semigroup, config.characteristic, config.normalized)
-                for nid in fresh
-            ]
-            if jobs > 1 and tasks:
+            fresh = [nodes[nid] for nid, key in expandable.items() if key not in expansions]
+            results = {}  # id -> live expansion of a fresh chart expanded in this process
+            if jobs > 1 and fresh:
                 if pool is None:
                     pool = multiprocessing.Pool(processes=jobs)
-                results = pool.map(_expand_worker, tasks)
+                tasks = [(n.semigroup.rank, n.semigroup.generators, n.semigroup.cone.facets, *step)
+                         for n in fresh]
+                plain = pool.map(_expand_worker, tasks)
             else:
-                results = [_expand_worker(t) for t in tasks]
-            results = dict(zip(fresh, results))
-            for nid, result in results.items():
-                expansions[expandable[nid]] = _stored(nodes[nid].semigroup, result)
+                results = {n.id: _expand(n.semigroup, *step) for n in fresh}
+                plain = map(_plain, results.values())
+            for node, result in zip(fresh, plain):
+                expansions[expandable[node.id]] = canonical_form(node.semigroup), result
 
             next_level = []
             for nid in expandable:

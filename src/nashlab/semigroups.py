@@ -78,18 +78,6 @@ class AffineSemigroup:
     def __repr__(self):
         return f"AffineSemigroup(rank={self.rank}, generators={list(self.generators)})"
 
-    def __getstate__(self):
-        cone = self._cone
-        known = cone is not None and cone._dual is not None and not cone.span_equations
-        return (self.rank, self.generators, self._mingens, cone.facets if known else None)
-
-    def __setstate__(self, state):
-        rank, gens, minimal, facets = state
-        self.__init__(rank, gens)
-        self._mingens = minimal
-        if facets is not None:
-            self._cone = Cone(rank, self.generators, facets)
-
     @property
     def cone(self):
         if self._cone is None:
@@ -217,9 +205,6 @@ class AffineSemigroup:
         stays exact.
         """
         if self._mingens is None:
-            if self.rank == 0:
-                self._mingens = ()
-                return self._mingens
             self._graded = []
             for entry in self._minimal_graded(self.generators):
                 self._graded.append(entry)
@@ -312,8 +297,6 @@ def is_smooth(s: AffineSemigroup) -> bool:
     """Toric smoothness: after quotienting units, the pointed part must be
     free on a lattice basis (rank many minimal generators, determinant ±1)."""
     pointed, _ = unit_quotient(s)
-    if pointed.rank == 0:
-        return True
     mg = pointed.minimal_generators()
     if len(mg) != pointed.rank:
         return False
@@ -334,8 +317,6 @@ class IsoCertificate:
         if source.rank != target.rank:
             return False
         d = source.rank
-        if d == 0:
-            return target.rank == 0
         if len(self.matrix) != d or abs(determinant(self.matrix)) != 1:
             return False
         src = source.minimal_generators()
@@ -475,9 +456,11 @@ def from_json_dict(data) -> AffineSemigroup:
     if not isinstance(gens, list) or not gens:
         raise ValueError("'generators' must be a nonempty list of integer vectors")
     rank = data.get("rank")
+    if rank is not None and (type(rank) is not int or rank < 0):
+        raise ValueError("'rank' must be a nonnegative integer")
     for g in gens:
-        if not isinstance(g, list) or not all(isinstance(x, int) for x in g):
-            raise ValueError("generators must be lists of integers")
+        if not isinstance(g, list) or not all(type(x) is int for x in g):
+            raise ValueError("generators must be lists of integers (true and false are not integers)")
         if rank is not None and len(g) != rank:
             raise ValueError("generator length disagrees with 'rank'")
     return canonicalize(gens)

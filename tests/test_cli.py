@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import nashlab.cli
 import nashlab.intlinalg
 from nashlab.cli import main
 from nashlab.cones import Cone
@@ -89,6 +90,16 @@ def test_describe_smooth_plane(tmp_path, capsys):
     assert json.loads(out)["smooth"] is True
 
 
+def test_describe_rejects_boolean_entries_and_bad_ranks(capsys, monkeypatch):
+    for doc in ({"generators": [[True, 0], [0, 1]]},
+                {"rank": 2.0, "generators": [[1, 0], [0, 1]]},
+                {"rank": "2", "generators": [[1, 0], [0, 1]]}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(["describe", "-"], capsys)
+        assert code == 1 and out == "", doc
+        assert "not integers" in err or "'rank' must be a nonnegative integer" in err, doc
+
+
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"generators": [[1, 0],\n  oops]}')
@@ -129,6 +140,17 @@ def test_dot_file_output(tmp_path, capsys):
     dot = target.read_text()
     assert dot.startswith("digraph")
     assert "lightcoral" in dot
+
+
+def test_unwritable_dot_path_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(nashlab.cli, "run", no_run)
+    target = tmp_path / "missing" / "tree.dot"
+    code, out, err = run_cli(["nash", "example:nobile", "--dot", str(target)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
 
 
 def test_full_tree_embeds_nodes(capsys):

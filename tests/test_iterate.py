@@ -2,6 +2,7 @@
 coordinate invariance, expansions shared across runs, the worker pool's
 lifecycle, DOT and JSON serialization."""
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -469,10 +470,10 @@ def test_a_bad_certificate_or_stored_entry_fails_loudly(monkeypatch):
         m.setattr(nashlab.iterate, "isomorphic", lambda a, b: IsoCertificate(((0, 2), (1, 0))))
         with pytest.raises(AssertionError, match="not verified isomorphic"):
             run(cyclic_quotient(3, 5), cfg, expansions=shared)
-    status, rep, children = good
+    form, (status, children) = good
     (base, gens, facets), *rest = children
     negated = [tuple(-x for x in f) for f in facets]
-    shared[key] = (status, rep, [(base, gens, negated), *rest])
+    shared[key] = (form, (status, [(base, gens, negated), *rest]))
     with pytest.raises(AssertionError, match="facet is negative"):
         run(cyclic_quotient(3, 5), cfg, expansions=shared)
     shared[key] = good
@@ -482,19 +483,22 @@ def test_a_bad_certificate_or_stored_entry_fails_loudly(monkeypatch):
 
 class _PoolRecorder:
     """Stands in for ``multiprocessing`` inside ``nashlab.iterate``: records
-    each pool's start, maps, close and join, and maps in this process."""
+    each pool's start, maps, close and join, and the tasks and results of
+    its maps, which it runs in this process."""
 
     def __init__(self):
-        self.events = []
+        self.events, self.tasks, self.results = [], [], []
 
     def Pool(self, processes):  # noqa: N802  (mirrors multiprocessing.Pool)
-        events = self.events
+        recorder, events = self, self.events
         events.append(("start", processes))
 
         class RecordingPool:
             def map(self, fn, tasks):
                 events.append("map")
-                return [fn(t) for t in tasks]
+                recorder.tasks += tasks
+                recorder.results += [fn(t) for t in tasks]
+                return recorder.results[-len(tasks):]
 
             def close(self):
                 events.append("close")
@@ -506,10 +510,27 @@ class _PoolRecorder:
 
 
 @pytest.fixture
-def pools(monkeypatch):
+def recorder(monkeypatch):
     counter = _PoolRecorder()
     monkeypatch.setattr(nashlab.iterate, "multiprocessing", counter)
-    return counter.events
+    return counter
+
+
+@pytest.fixture
+def pools(recorder):
+    return recorder.events
+
+
+def test_pool_tasks_and_results_are_plain_data(recorder):
+    """A worker gets a chart and returns its expansion as plain data, the
+    stored form: no pickled task or result names a ``nashlab`` class, and
+    the run's report is the ``jobs=1`` one."""
+    cfg = RunConfig(normalized=True)
+    tree = run(cyclic_quotient(11, 24), cfg, jobs=2)
+    assert recorder.tasks and len(recorder.results) == len(recorder.tasks)
+    assert b"nashlab" not in pickle.dumps(recorder.tasks)
+    assert b"nashlab" not in pickle.dumps(recorder.results)
+    assert _report(tree) == _report(run(cyclic_quotient(11, 24), cfg))
 
 
 def test_a_pool_starts_once_at_the_first_fresh_expansion(pools):
@@ -534,9 +555,10 @@ def test_no_pool_without_a_fresh_expansion(pools):
 
 
 def test_a_failing_run_still_closes_its_pool(pools, monkeypatch):
-    """normalized cyclic_quotient(2, 3) expands its root in the pool, then
-    carries a child's class stored by cyclic_quotient(1, 3); a carry that
-    raises still closes and joins the pool."""
+    """normalized cyclic_quotient(2, 3), after cyclic_quotient(1, 3) stored
+    a child's class, expands its root in the pool and then carries that
+    expansion like any stored one; a carry that raises still closes and
+    joins the pool."""
     cfg = RunConfig(normalized=True)
     shared = {}
     run(cyclic_quotient(1, 3), cfg, expansions=shared)

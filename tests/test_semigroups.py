@@ -370,6 +370,10 @@ def test_isomorphic_rank_mismatch_and_trivial():
     t = AffineSemigroup(0, [])
     cert = isomorphic(t, t)
     assert cert is not None and cert.verify(t, t)
+    assert t.minimal_generators() == ()
+    assert is_smooth(t)
+    assert IsoCertificate(matrix=()).verify(t, t)
+    assert not IsoCertificate(matrix=((1,),)).verify(t, t)
 
 
 def test_certificate_tampering_fails_verification():
@@ -512,6 +516,12 @@ def test_json_round_trip_and_validation():
         from_json_dict([1, 2, 3])
     with pytest.raises(ValueError):
         from_json_dict({"generators": [[1, 0]], "rank": 7})
+    with pytest.raises(ValueError, match="not integers"):
+        from_json_dict({"generators": [[True, 0], [0, 1]]})
+    for rank in (2.0, "2", -1, True):
+        with pytest.raises(ValueError, match="'rank' must be a nonnegative integer"):
+            from_json_dict({"generators": [[1, 0], [0, 1]], "rank": rank})
+    assert from_json_dict({"generators": [[1, 0], [0, 1]], "rank": 2}).rank == 2
 
 
 def test_pickle_round_trip_preserves_value():
@@ -540,8 +550,6 @@ def test_lineality_and_graded_generators_are_computed_once(monkeypatch):
     s = from_preset("cdll")
     s.minimal_generators()
     assert cones and len(kernels) <= len(cones)
-    # the member caches are not pickled, only the facets: a loaded copy
-    # rebuilds them
     probes = [tuple(a + b for a, b in zip(g, h)) for g in s.generators for h in s.generators]
     probes += [tuple(a - b for a, b in zip(g, h)) for g in s.generators for h in s.generators]
     expected = [s.member(v) for v in probes]
@@ -583,9 +591,8 @@ def test_presentations_share_the_cone():
     assert m.cone is sat.cone is s.cone
     assert all(m.member(g) for g in s.generators)
     assert not m.member((1, 1)) and sat.member((1, 1))
-    # the minimal generators survive a pickle round trip
     t = pickle.loads(pickle.dumps(m))
-    assert t._mingens == m.generators
+    assert t == m and t.minimal_generators() == m.generators
     trivial = AffineSemigroup(0, [])
     assert trivial.minimal_presentation() == trivial.saturation() == trivial
 
