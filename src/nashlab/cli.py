@@ -21,6 +21,7 @@ from .iterate import RunConfig, run
 from .semigroups import from_json_dict, is_smooth
 
 SCHEMA = "nashlab/1"
+MAX_JOBS = 64  # the most worker processes --jobs may ask for
 
 _EXIT_BY_VERDICT = {"Resolved": 0, "CounterexampleCycle": 2, "Inconclusive": 3}
 
@@ -218,7 +219,7 @@ def _add_run_flags(p):
     p.add_argument("--max-depth", type=int, default=None, help="iteration depth cap")
     p.add_argument("--max-nodes", type=int, default=500, help="total chart budget")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for fresh chart expansions, started only when a run has one")
+                   help=f"worker processes for fresh chart expansions (at most {MAX_JOBS}), started when a run has one")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
 
@@ -261,8 +262,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            raise CliError("--jobs must be at least 1")
+        if not 1 <= getattr(args, "jobs", 1) <= MAX_JOBS:
+            raise CliError(f"--jobs must be between 1 and MAX_JOBS = {MAX_JOBS}")
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,7 +16,6 @@ from .intlinalg import (
     dot,
     hermite_normal_form,
     kernel_basis,
-    matrix_rank,
     primitive,
     vneg,
 )
@@ -176,17 +175,12 @@ class Cone:
         return not self.lineality_basis()
 
     def extreme_rays(self):
-        """Primitive extreme rays of a pointed cone (error if not pointed)."""
+        """Primitive extreme rays of a pointed cone (error if not pointed): the
+        double description of its facets and both signs of its span equations."""
         if not self.is_pointed:
             raise ValueError("extreme rays are only defined for pointed cones; quotient out the lineality first")
-        eqs = list(self.span_equations)
-        out = set()
-        for g in self.generators:
-            tight = [f for f in self.facets if dot(f, g) == 0] + eqs
-            # a ray is tight on rank - 1 independent rows
-            if len(tight) >= self.rank - 1 and matrix_rank(tight) == self.rank - 1:
-                out.add(primitive(g))
-        return tuple(sorted(out))
+        eqs = self.span_equations
+        return dual_rays(self.facets + eqs + tuple(map(vneg, eqs)), self.rank)[0]
 
 
 def _parallelepiped_points(rays, rank):
@@ -227,12 +221,10 @@ def hilbert_basis(cone):
     """
     if not cone.generators:
         raise DegenerateConeError("cone has no nonzero generators")
-    if not cone.is_pointed:
-        raise ValueError("hilbert_basis needs a pointed cone; quotient out the lineality first")
     if cone.span_equations:
         raise ValueError("hilbert_basis needs a full-dimensional cone")
     d = cone.rank
-    rays = cone.extreme_rays()
+    rays = cone.extreme_rays()  # raises ValueError unless pointed
     cands = set(rays)
     for subset in combinations(rays, d):
         cands.update(_parallelepiped_points(subset, d))

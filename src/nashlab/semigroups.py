@@ -173,16 +173,10 @@ class AffineSemigroup:
         x is dropped when φ(x) − φ(y) passes :meth:`_search` for a kept y of
         lower degree; a difference with a negative entry is outside the cone
         and is never searched.  Each x is yielded before the next one is
-        tested.  Once the kept elements are as many as the facets and all of
-        degree 1, their slacks are the unit vectors, so F·B = I for the
-        facet normals F and the kept B: Γ is the whole cone, free on them,
-        and nothing later is minimal.
+        tested.
         """
-        n = len(self.cone.facets)
         kept = []
         for ex, sx, x in self._grade(elements):
-            if len(kept) == n and kept[-1][0] == 1:
-                return
             diffs = (tuple(map(sub, sx, sy)) for ey, sy, _ in kept if ey < ex)
             if not any(min(z) >= 0 and self._search(z) for z in diffs):
                 kept.append((ex, sx, x))
@@ -197,13 +191,15 @@ class AffineSemigroup:
         """The unique inclusion-minimal generating set (pointed case): the
         elements of Γ not expressible as a sum of two nonzero elements.
 
-        The :meth:`_search` runs over the minimal generators kept so far,
-        which stay its grading afterwards.  When x is tested, every
-        φ(x) − φ(y) has degree below ℓ·x, so it decomposes over minimal
-        generators of lower degree, all of them kept already; and a memoized
-        vector has lower degree than any generator kept later, so the memo
-        stays exact.
+        A free Γ gets them from :func:`_free_basis`.  Otherwise the
+        :meth:`_search` runs over the minimal generators kept so far, which
+        stay its grading afterwards.  When x is tested, every φ(x) − φ(y)
+        has degree below ℓ·x, so it decomposes over minimal generators of
+        lower degree, all of them kept already; and a memoized vector has
+        lower degree than any generator kept later, so the memo stays exact.
         """
+        if self._mingens is None:
+            self._mingens = _free_basis(self)
         if self._mingens is None:
             self._graded = []
             for entry in self._minimal_graded(self.generators):
@@ -293,14 +289,23 @@ def unit_quotient(s: AffineSemigroup):
     return AffineSemigroup(d - u, img), u
 
 
+def _free_basis(s: AffineSemigroup):
+    """The sorted lattice basis that Γ is free on, or None: Γ is free iff its
+    facet matrix F is square, |det F| = 1, its cone is full-dimensional, and
+    every column of F⁻¹ is in Γ (Cox, Little and Schenck, *Toric Varieties*,
+    2011, §1.3), since each point x of the cone is F⁻¹·(F·x).  A column is
+    primitive on an extreme ray, so it lies in Γ only as a generator."""
+    F = s.cone.facets
+    if len(F) != s.rank or s.cone.span_equations or abs(determinant(F)) != 1:
+        return None
+    basis = tuple(sorted(zip(*adjugate(F)[0])))
+    return basis if set(basis).issubset(s.generators) else None
+
+
 def is_smooth(s: AffineSemigroup) -> bool:
     """Toric smoothness: after quotienting units, the pointed part must be
-    free on a lattice basis (rank many minimal generators, determinant ±1)."""
-    pointed, _ = unit_quotient(s)
-    mg = pointed.minimal_generators()
-    if len(mg) != pointed.rank:
-        return False
-    return abs(determinant(mg)) == 1
+    free on a lattice basis (:func:`_free_basis`)."""
+    return _free_basis(unit_quotient(s)[0]) is not None
 
 
 @dataclass(frozen=True)
@@ -317,7 +322,7 @@ class IsoCertificate:
         if source.rank != target.rank:
             return False
         d = source.rank
-        if len(self.matrix) != d or abs(determinant(self.matrix)) != 1:
+        if [len(row) for row in self.matrix] != [d] * d or abs(determinant(self.matrix)) != 1:
             return False
         src = source.minimal_generators()
         tgt = set(target.minimal_generators())

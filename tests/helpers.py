@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 from math import gcd
 
 from nashlab.blowup import blowup_charts, log_jacobian, minimalize
-from nashlab.intlinalg import hermite_normal_form
+from nashlab.intlinalg import determinant, dot, hermite_normal_form, matrix_rank, primitive
 from nashlab.semigroups import AffineSemigroup, canonicalize, isomorphic, unit_quotient
 
 
@@ -252,6 +252,27 @@ class BruteSemigroup:
             for g in self.gens
             if not BruteSemigroup([h for h in self.gens if h != g], self.rank, dual).member(g)
         )
+
+
+def smooth_by_definition(s):
+    """Toric smoothness by its definition: the pointed part has rank many
+    minimal generators (brute, searched in its cone) of determinant ±1."""
+    pointed, _ = unit_quotient(s)
+    cone = pointed.cone
+    mg = BruteSemigroup(pointed.generators, pointed.rank, (cone.facets, cone.span_equations)).minimal_generators()
+    return len(mg) == pointed.rank and abs(determinant(mg)) == 1
+
+
+def rays_by_definition(cone):
+    """Primitive extreme rays of a pointed cone by their definition: the
+    generators whose tight rows (facets and span equations) have rank
+    rank - 1."""
+    eqs = list(cone.span_equations)
+    return tuple(sorted({
+        primitive(g)
+        for g in cone.generators
+        if matrix_rank([f for f in cone.facets if dot(f, g) == 0] + eqs) == cone.rank - 1
+    }))
 
 
 def numerical_gap_semigroup(gens, limit):

@@ -8,6 +8,7 @@ import pytest
 
 import nashlab.cli
 import nashlab.intlinalg
+import nashlab.iterate
 from nashlab.cli import main
 from nashlab.cones import Cone
 
@@ -115,6 +116,24 @@ def test_input_error_exits_one(capsys):
     assert run_cli(["nash", "example:nobile", "--jobs", "0"], capsys)[0] == 1
     assert run_cli(["nash", "example:nobile", "--bogus-flag"], capsys)[0] == 1
     assert run_cli([], capsys)[0] == 1
+
+
+def test_jobs_above_the_bound_fail_before_any_run(monkeypatch, capsys):
+    """``--jobs`` above ``MAX_JOBS`` is a usage error that names the
+    constant, for ``nash`` and ``sweep``, and no pool is ever asked for."""
+    pools = []
+
+    def no_pool(*args, **kwargs):
+        pools.append(args or kwargs)
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(nashlab.iterate.multiprocessing, "Pool", no_pool)
+    for argv in (["nash", "example:cdll"], ["sweep", "cyclic_quotient", "--b-max", "5"]):
+        for jobs in ("100000", str(nashlab.cli.MAX_JOBS + 1)):
+            code, out, err = run_cli(argv + ["--jobs", jobs], capsys)
+            assert (code, out) == (1, "")
+            assert f"MAX_JOBS = {nashlab.cli.MAX_JOBS}" in err
+    assert pools == []
 
 
 def test_huge_characteristic_exits_one(capsys):

@@ -92,15 +92,29 @@ def test_root_with_units_gets_quotient_and_unit_rank():
 def test_one_double_description_per_newton_cone(monkeypatch, preset, config, expected):
     """Each chart's one Cone inherits its facets from the Newton cone and is
     shared by its presentation, its Hilbert basis and its smoothness test, so
-    a run computes one double description per expansion; pointed charts skip
-    the unit search."""
-    counts = {"dual_rays": 0, "contains": 0, "expanded": 0}
+    a run computes one double description of generators per expansion;
+    pointed charts skip the unit search.  The extreme rays of a Hilbert
+    basis are a double description of facets, at most one per basis."""
+    counts = {"generator_side": 0, "facet_side": 0, "hilbert_basis": 0, "contains": 0, "expanded": 0}
     dual_rays, contains = nashlab.cones.dual_rays, nashlab.cones.Cone.contains
+    extreme_rays, hilbert_basis = nashlab.cones.Cone.extreme_rays, nashlab.semigroups.hilbert_basis
     step_charts = nashlab.iterate.step_charts
+    in_extreme_rays = []
 
     def counted_dual_rays(*args):
-        counts["dual_rays"] += 1
+        counts["facet_side" if in_extreme_rays else "generator_side"] += 1
         return dual_rays(*args)
+
+    def counted_extreme_rays(self):
+        in_extreme_rays.append(self)
+        try:
+            return extreme_rays(self)
+        finally:
+            in_extreme_rays.pop()
+
+    def counted_hilbert_basis(cone):
+        counts["hilbert_basis"] += 1
+        return hilbert_basis(cone)
 
     def counted_contains(self, x):
         counts["contains"] += 1
@@ -115,10 +129,14 @@ def test_one_double_description_per_newton_cone(monkeypatch, preset, config, exp
     monkeypatch.setattr(nashlab.cones, "dual_rays", counted_dual_rays)
     monkeypatch.setattr(nashlab.blowup, "dual_rays", counted_dual_rays)
     monkeypatch.setattr(nashlab.cones.Cone, "contains", counted_contains)
+    monkeypatch.setattr(nashlab.cones.Cone, "extreme_rays", counted_extreme_rays)
+    monkeypatch.setattr(nashlab.semigroups, "hilbert_basis", counted_hilbert_basis)
     monkeypatch.setattr(nashlab.iterate, "step_charts", counted_step_charts)
     tree = run(root, config)
     assert (len(tree.nodes), counts["expanded"]) == expected
-    assert counts["dual_rays"] == counts["expanded"]
+    assert counts["generator_side"] == counts["expanded"]
+    assert counts["facet_side"] <= counts["hilbert_basis"]
+    assert (counts["hilbert_basis"] > 0) == config.normalized
     assert counts["contains"] == 0
 
 

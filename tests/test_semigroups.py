@@ -5,6 +5,8 @@ import random
 from operator import sub
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import nashlab.cones
 from nashlab.blowup import blowup_charts, log_jacobian, minimalize
@@ -33,8 +35,11 @@ from .helpers import (
     chart_corpus,
     numerical_gap_semigroup,
     rand_unimodular,
+    rays_by_definition,
     scramble,
     singular_saturated_corpus,
+    smooth_by_definition,
+    smooth_corpus,
 )
 
 
@@ -330,6 +335,80 @@ def test_is_smooth_on_scrambled_orthants_and_singular_cones():
     assert is_smooth(AffineSemigroup(2, [(1, 0), (-1, 0), (0, 1)]))
 
 
+@st.composite
+def small_semigroups(draw):
+    """Semigroups of ranks 0-4 as given, sublattices included: random small
+    vectors, maybe with a unit, or the unit vectors, some replaced by
+    multiples (a unimodular facet matrix whose ray may have no generator),
+    plus points of the orthant."""
+    d = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=d + 2))
+        if draw(st.booleans()):  # a unit
+            gens.append(tuple(-x for x in gens[0]))
+    else:
+        scales = draw(st.lists(st.sampled_from([(1,), (1,), (1,), (2,), (2, 3)]), min_size=d, max_size=d))
+        gens = [tuple(k * (i == j) for j in range(d)) for i, ks in enumerate(scales) for k in ks]
+        gens += draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), max_size=2))
+    assume(d == 0 or any(map(any, gens)))
+    return AffineSemigroup(d, gens)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_semigroups(), st.randoms(use_true_random=False))
+@example(AffineSemigroup(0, []), random.Random(0))
+@example(AffineSemigroup(2, [(1, 0), (-1, 0), (0, 1)]), random.Random(1))
+@example(AffineSemigroup(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]), random.Random(2))
+@example(AffineSemigroup(2, [(1, 1), (1, -1)]), random.Random(3))
+@example(AffineSemigroup(2, [(2, 0), (3, 0), (0, 1)]), random.Random(4))
+@example(AffineSemigroup(2, [(1, 0), (1, 2)]), random.Random(5))
+def test_smoothness_minimal_generators_and_rays_match_their_definitions(s, rng):
+    """``is_smooth``, ``minimal_generators`` and ``extreme_rays`` equal the
+    definitions (rank many brute minimal generators of determinant ±1; the
+    generators tight on rows of rank rank - 1), and move with a unimodular
+    change of coordinates and a shuffle of the generators."""
+    u = rand_unimodular(rng, s.rank)
+    moved = [apply_matrix(u, g) for g in s.generators]
+    rng.shuffle(moved)
+    t = AffineSemigroup(s.rank, moved)
+    try:
+        smooth = smooth_by_definition(s)
+    except NotCanonicalError:  # units filling a proper subspace
+        for x in (s, t):
+            with pytest.raises(NotCanonicalError):
+                is_smooth(x)
+        return
+    assert is_smooth(s) == is_smooth(t) == smooth
+    assert s.is_pointed == t.is_pointed
+    if s.is_pointed:
+        cone = s.cone
+        mg = BruteSemigroup(s.generators, s.rank, (cone.facets, cone.span_equations)).minimal_generators()
+        assert list(s.minimal_generators()) == mg
+        assert t.minimal_generators() == tuple(sorted(apply_matrix(u, g) for g in mg))
+        rays = rays_by_definition(cone)
+        assert cone.extreme_rays() == rays
+        assert t.cone.extreme_rays() == tuple(sorted(apply_matrix(u, r) for r in rays))
+
+
+def test_is_smooth_neither_searches_nor_computes_minimal_generators(monkeypatch):
+    """``is_smooth`` reads the facet matrix alone: on fresh copies of corpus
+    charts, smooth and singular semigroups and a torus factor it agrees with
+    the definition with ``minimal_generators`` and ``_search`` made to fail."""
+    rng = random.Random(1601)
+    inputs = [chart.semigroup for _, chart in rng.sample(chart_corpus(), 120)]
+    inputs += smooth_corpus(rng) + singular_saturated_corpus(rng)
+    inputs.append(AffineSemigroup(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 2)]))
+    expected = [smooth_by_definition(s) for s in inputs]
+    assert 0 < sum(expected) < len(expected)
+
+    def fail(*args):
+        raise AssertionError("is_smooth searched")
+
+    monkeypatch.setattr(AffineSemigroup, "minimal_generators", fail)
+    monkeypatch.setattr(AffineSemigroup, "_search", fail)
+    assert [is_smooth(AffineSemigroup(s.rank, s.generators)) for s in inputs] == expected
+
+
 def test_isomorphic_finds_scrambles_and_verifies():
     rng = random.Random(306)
     for _ in range(12):
@@ -374,6 +453,15 @@ def test_isomorphic_rank_mismatch_and_trivial():
     assert is_smooth(t)
     assert IsoCertificate(matrix=()).verify(t, t)
     assert not IsoCertificate(matrix=((1,),)).verify(t, t)
+
+
+def test_certificate_with_a_malformed_matrix_fails_verification():
+    """A certificate whose matrix is not rank × rank, ragged or of the wrong
+    size, does not verify; it raises nothing."""
+    a = canonicalize([(1, 0), (1, 1), (1, 2)])
+    for matrix in [((1, 0), (0,)), ((1,), (0, 1)), ((1, 0),), ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0))]:
+        assert not IsoCertificate(matrix).verify(a, a)
+    assert IsoCertificate(((1, 0), (0, 1))).verify(a, a)
 
 
 def test_certificate_tampering_fails_verification():
@@ -641,10 +729,11 @@ def test_minimal_generators_with_and_without_a_prior_member_search():
         done += 1
 
 
-def test_smooth_charts_stop_at_their_unit_slacks(monkeypatch):
+def test_smooth_charts_need_no_member_search(monkeypatch):
     """Every chart's minimal generators match the brute oracle (searched in
-    the chart's cone); a smooth chart's come from the sort alone, with no
-    member search, and a non-smooth chart still searches."""
+    the chart's cone); a smooth chart's, and its smoothness, come from its
+    facet matrix alone, with no member search, and a non-smooth chart still
+    searches."""
     searched = []
     search = AffineSemigroup._search
 
