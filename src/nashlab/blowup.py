@@ -2,12 +2,14 @@
 characteristic, plus the composite Nash / normalized-Nash step.
 
 The exponent set of the ideal collects sums of rank-many generators whose
-determinant survives in the base field; each vertex of its Newton
-polyhedron yields a pointed affine chart, optionally saturated.
+determinant survives in the base field: the bases of the generators' linear
+matroid over that field.  Each vertex of its Newton polyhedron yields a
+pointed affine chart, optionally saturated, presented by the single basis
+exchanges of a basis that sums to the vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .cones import dual_rays
@@ -49,10 +51,17 @@ def validate_characteristic(ch) -> int:
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Finite exponent set inside an ambient semigroup, sorted and
-    duplicate-free."""
+    duplicate-free.
+
+    ``bases``, left out of equality, is the basis table of a logarithmic
+    Jacobian ideal: each rank-subset of ``ambient.generators`` with
+    determinant nonzero in the base field, as a sorted index tuple, mapped
+    to its sum, the exponent it gives.  ``None`` for any other ideal.
+    """
 
     ambient: AffineSemigroup
     exponents: tuple
+    bases: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(sorted(set(self.exponents))))
@@ -63,11 +72,13 @@ class Chart:
     """One affine chart of a monomial-ideal blowup, at a vertex of the
     Newton polyhedron.
 
-    ``semigroup`` is generated by the ambient generators together with all
-    exponent differences against ``base_exponent`` (same lattice as the
-    ambient).  ``vertex_certificate`` is a functional minimized on the
-    Newton polyhedron exactly at ``base_exponent`` and strictly positive on
-    every chart generator.
+    ``semigroup`` is generated by the ambient generators together with the
+    single basis exchanges g_j − g_i of a basis summing to ``base_exponent``
+    (same lattice as the ambient); they generate the same semigroup as all
+    exponent differences against ``base_exponent`` (see
+    :func:`blowup_charts`).  ``vertex_certificate`` is a functional
+    minimized on the Newton polyhedron exactly at ``base_exponent`` and
+    strictly positive on every chart generator.
     """
 
     base_exponent: tuple
@@ -80,28 +91,29 @@ class Chart:
 def log_jacobian(s: AffineSemigroup, ch) -> MonomialIdeal:
     """Exponents ``a_{i1} + ... + a_{id}`` over rank-subsets of the
     generators with ``det(a_{i1}, ..., a_{id})`` nonzero in characteristic
-    ``ch`` (nonzero in Z for ch = 0, nonzero mod p for ch = p)."""
+    ``ch`` (nonzero in Z for ch = 0, nonzero mod p for ch = p); those
+    subsets are recorded as the ideal's ``bases``."""
     ch = validate_characteristic(ch)
     if not s.is_pointed:
         raise NotPointedError("log_jacobian expects a pointed semigroup")
     d = s.rank
-    exps = set()
-    for sub in combinations(s.generators, d):
+    bases = {}
+    subsets = zip(combinations(range(len(s.generators)), d), combinations(s.generators, d))
+    for index, sub in subsets:
         dv = determinant(sub)
         if (dv != 0) if ch == 0 else (dv % ch != 0):
-            exps.add(tuple(sum(g[i] for g in sub) for i in range(d)))
-    if not exps:
+            bases[index] = tuple(sum(g[i] for g in sub) for i in range(d))
+    if not bases:
         raise EmptyLogJacobian(
             f"every rank-subset determinant vanishes in characteristic {ch}"
         )
-    return MonomialIdeal(ambient=s, exponents=tuple(sorted(exps)))
+    return MonomialIdeal(ambient=s, exponents=tuple(bases.values()), bases=bases)
 
 
 def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Inclusion-minimal exponent set generating the same monomial ideal:
     drop m whenever m ∈ m' + Γ for another exponent m'."""
-    s = ideal.ambient
-    return MonomialIdeal(ambient=s, exponents=s.minimal_elements(ideal.exponents))
+    return replace(ideal, exponents=ideal.ambient.minimal_elements(ideal.exponents))
 
 
 def blowup_charts(ideal: MonomialIdeal) -> list:
@@ -123,7 +135,19 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     e, so its facets are the Newton-cone facets (f, c) tight at (e, 1), cut
     to f; each is primitive, since c = -f·e makes gcd(f) = gcd(f, c).  The
     chart's cone starts with them and runs no double description of its own.
+
+    Its generators are those of Γ plus the exchanges g_j − g_i, for i in B
+    and j not in B with B − i + j a basis, where B is a basis in
+    ``ideal.bases`` summing to e: at most n + d(n − d) of them.  B needs no
+    greedy pass (Edmonds, 1971): its weight c·e is the least over all bases.
+    Each exchange is o − e for the exponent o of B − i + j, which lies in a
+    minimal exponent plus Γ; and any basis B′ is reached from B by a
+    bijection σ: B∖B′ → B′∖B with each B − x + σ(x) a basis (Brualdi,
+    1969), so Σ B′ − e = Σ (σ(x) − x).  So they generate the same
+    semigroup as Γ and all differences o − e.
     """
+    if ideal.bases is None:
+        raise ValueError("blowup_charts needs the basis table (bases) that log_jacobian records")
     s = ideal.ambient
     d = s.rank
     exps = ideal.exponents
@@ -132,6 +156,7 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     facets, equations = dual_rays(lifted, d + 1)
     if equations:
         raise AssertionError("Newton cone of a full-rank semigroup must be full-dimensional")
+    basis_of = {o: b for b, o in ideal.bases.items()}
     charts = []
     for e in exps:
         lift = e + (1,)
@@ -146,7 +171,13 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
             if not dot(cert, g) > 0:
                 raise AssertionError("vertex certificate failed verification")
         # differences of lattice points: same ambient lattice, already canonical
-        gens = list(s.generators) + [vsub(o, e) for o in exps if o != e]
+        gens = list(s.generators)
+        B = basis_of[e]
+        for k, i in enumerate(B):
+            rest = B[:k] + B[k + 1:]
+            for j, g in enumerate(s.generators):
+                if j not in B and tuple(sorted(rest + (j,))) in ideal.bases:
+                    gens.append(vsub(g, s.generators[i]))
         sg = AffineSemigroup.with_facets(d, gens, [f[:d] for f in tight])
         charts.append(Chart(base_exponent=e, semigroup=sg, vertex_certificate=cert))
     return charts

@@ -304,8 +304,12 @@ def _free_basis(s: AffineSemigroup):
 
 def is_smooth(s: AffineSemigroup) -> bool:
     """Toric smoothness: after quotienting units, the pointed part must be
-    free on a lattice basis (:func:`_free_basis`)."""
-    return _free_basis(unit_quotient(s)[0]) is not None
+    free on a lattice basis (:func:`_free_basis`).  A free Γ is pointed, so
+    it is tested first and needs no lineality computation."""
+    if _free_basis(s) is not None:
+        return True
+    pointed, u = unit_quotient(s)
+    return u > 0 and _free_basis(pointed) is not None
 
 
 @dataclass(frozen=True)

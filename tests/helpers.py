@@ -462,12 +462,7 @@ def singular_saturated_corpus(rng, count=15):
 
 
 @cache
-def chart_corpus():
-    """``(depth, chart)`` for every chart, straight from ``blowup_charts``,
-    of the first two blowup steps of ``cdll`` in characteristic 0,
-    reeve(2..4) in characteristics 0/2/3/5, the normalized cyclic quotients
-    with b <= 13 in characteristics 0/2/3 and rebassoo(3, 1, 2).  Cached,
-    so the test modules share the charts and their caches."""
+def _corpus():
     from nashlab.families import cyclic_quotient, from_preset, rebassoo, reeve
 
     runs = [(from_preset("cdll"), 0, False), (rebassoo(3, 1, 2), 0, False)]
@@ -479,12 +474,13 @@ def chart_corpus():
         if gcd(a, b) == 1
         for ch in (0, 2, 3)
     ]
-    out = []
+    out, parents = [], {}
     for root, ch, normalized in runs:
         level = [root]
         for depth in (1, 2):
             nxt = []
             for s in level:
+                parents.setdefault(s, normalized)
                 for chart in blowup_charts(minimalize(log_jacobian(s, ch))):
                     out.append((depth, chart))
                     if depth == 1:
@@ -493,4 +489,20 @@ def chart_corpus():
                         if child not in nxt:
                             nxt.append(child)
             level = nxt
-    return tuple(out)
+    return tuple(out), tuple(parents.items())
+
+
+def chart_corpus():
+    """``(depth, chart)`` for every chart, straight from ``blowup_charts``,
+    of the first two blowup steps of ``cdll`` in characteristic 0,
+    reeve(2..4) in characteristics 0/2/3/5, the normalized cyclic quotients
+    with b <= 13 in characteristics 0/2/3 and rebassoo(3, 1, 2).  Cached,
+    so the test modules share the charts and their caches."""
+    return _corpus()[0]
+
+
+def corpus_parents():
+    """``(semigroup, normalized)`` for each distinct semigroup that
+    :func:`chart_corpus` blows up: its roots and their depth-1 charts,
+    presented as their run presents them, in first-seen order."""
+    return _corpus()[1]

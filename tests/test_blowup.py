@@ -1,6 +1,7 @@
 """Blowup core: logarithmic Jacobian ideals, minimalization, vertex charts
 and their certificates, and the composed step."""
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,10 +17,19 @@ from nashlab.blowup import (
 )
 from nashlab.cones import Cone, dual_rays, hilbert_basis
 from nashlab.families import cyclic_quotient, from_preset, numerical, rebassoo, reeve
-from nashlab.intlinalg import dot
+from nashlab.intlinalg import dot, vsub
 from nashlab.semigroups import AffineSemigroup, NotPointedError, canonicalize, is_smooth, isomorphic
 
-from .helpers import brute_charts, chart_corpus, scramble, smooth_corpus
+from .helpers import (
+    apply_matrix,
+    brute_charts,
+    chart_corpus,
+    corpus_parents,
+    frac_det,
+    rand_unimodular,
+    scramble,
+    smooth_corpus,
+)
 
 
 def test_validate_characteristic():
@@ -227,3 +237,99 @@ def test_blowup_charts_are_exactly_the_vertices():
     assert ideal.exponents == ((2, 1), (2, 2), (2, 3))
     charts = blowup_charts(ideal)
     assert [c.base_exponent for c in charts] == [(2, 1), (2, 3)]
+
+
+def test_log_jacobian_records_every_basis_with_its_exponent():
+    """The basis table of each ``chart_corpus()`` parent in chars 0/2/3/5 is
+    every rank-subset of generator indices whose determinant (over Q, by
+    Fractions) is nonzero in the characteristic, each mapped to its sum; its
+    sums are the exponents, and ``minimalize`` keeps the table."""
+    checked = 0
+    for s, _ in corpus_parents():
+        d, gens = s.rank, s.generators
+        for ch in (0, 2, 3, 5):
+            expected = {}
+            for index in combinations(range(len(gens)), d):
+                sub = [gens[i] for i in index]
+                det = frac_det(sub)
+                if det % ch if ch else det:
+                    expected[index] = tuple(map(sum, zip(*sub)))
+            if not expected:
+                with pytest.raises(EmptyLogJacobian):
+                    log_jacobian(s, ch)
+                continue
+            ideal = log_jacobian(s, ch)
+            assert ideal.bases == expected, (s, ch)
+            assert ideal.exponents == tuple(sorted(set(expected.values())))
+            assert minimalize(ideal).bases is ideal.bases
+            checked += 1
+    assert checked > 700
+
+
+def test_blowup_charts_needs_the_basis_table():
+    s = canonicalize([(2,), (3,)])
+    bare = MonomialIdeal(ambient=s, exponents=((2,), (3,)))
+    with pytest.raises(ValueError, match="basis table"):
+        blowup_charts(bare)
+    # the table is left out of equality
+    assert bare == log_jacobian(s, 0) and minimalize(bare).bases is None
+
+
+def _checked_exchange_charts(s, ch, normalized):
+    """Charts of ``s`` in characteristic ``ch``, each checked against the
+    chart built from Γ and every minimal exponent difference, with its own
+    double description: equal minimal generators, equal Hilbert bases when
+    ``normalized``, and at most n + d(n − d) chart generators."""
+    try:
+        ideal = minimalize(log_jacobian(s, ch))
+    except EmptyLogJacobian:
+        return []
+    n, d = len(s.generators), s.rank
+    charts = blowup_charts(ideal)
+    for c in charts:
+        e = c.base_exponent
+        full = AffineSemigroup(d, list(s.generators) + [vsub(o, e) for o in ideal.exponents])
+        sg = c.semigroup
+        assert sg.minimal_generators() == full.minimal_generators(), (s, ch, e)
+        if normalized:
+            assert sg.saturation().generators == hilbert_basis(full.cone), (s, ch, e)
+        assert len(sg.generators) <= n + d * (n - d)
+    return charts
+
+
+def test_exchange_charts_match_the_all_differences_charts():
+    """Presenting a chart by the single basis exchanges of its vertex's
+    basis gives the chart of all exponent differences, on every
+    ``chart_corpus()`` parent in chars 0/2/3/5."""
+    ranks = set()
+    for s, normalized in corpus_parents():
+        for ch in (0, 2, 3, 5):
+            if _checked_exchange_charts(s, ch, normalized):
+                ranks.add((s.rank, ch))
+    assert {(r, ch) for r in (2, 4) for ch in (0, 2, 3, 5)} <= ranks
+
+
+def test_exchange_charts_follow_a_change_of_coordinates():
+    """After a seeded unimodular change of coordinates U and a shuffle of the
+    generators, which reorders the generator indices of the basis table,
+    the charts still match the all-differences charts, and each is the
+    image under U of the original chart at the original vertex."""
+    rng = random.Random(1703)
+    for s, normalized in corpus_parents():
+        u = rand_unimodular(rng, s.rank)
+        gens = [apply_matrix(u, g) for g in s.generators]
+        rng.shuffle(gens)
+        t = AffineSemigroup(s.rank, gens)
+        for ch in (0, 2, 3, 5):
+            try:
+                charts = blowup_charts(minimalize(log_jacobian(s, ch)))
+            except EmptyLogJacobian:
+                charts = []
+            images = {
+                apply_matrix(u, c.base_exponent): sorted(
+                    apply_matrix(u, g) for g in c.semigroup.minimal_generators()
+                )
+                for c in charts
+            }
+            moved = _checked_exchange_charts(t, ch, normalized)
+            assert {c.base_exponent: list(c.semigroup.minimal_generators()) for c in moved} == images

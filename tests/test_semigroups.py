@@ -732,25 +732,31 @@ def test_minimal_generators_with_and_without_a_prior_member_search():
 def test_smooth_charts_need_no_member_search(monkeypatch):
     """Every chart's minimal generators match the brute oracle (searched in
     the chart's cone); a smooth chart's, and its smoothness, come from its
-    facet matrix alone, with no member search, and a non-smooth chart still
-    searches."""
-    searched = []
-    search = AffineSemigroup._search
+    facet matrix alone, with no member search and no lineality
+    (``kernel_basis``: a free chart is pointed), and a non-smooth chart
+    still searches.  Fresh copies, so nothing is cached."""
+    searched, kernels = [], []
+    search, kernel_basis = AffineSemigroup._search, nashlab.cones.kernel_basis
 
     def counted_search(self, x):
         searched.append(x)
         return search(self, x)
 
+    def counted_kernel_basis(m):
+        kernels.append(m)
+        return kernel_basis(m)
+
     monkeypatch.setattr(AffineSemigroup, "_search", counted_search)
+    monkeypatch.setattr(nashlab.cones, "kernel_basis", counted_kernel_basis)
     smooth = singular = 0
     for _, chart in chart_corpus():
         sg = chart.semigroup
         fresh = AffineSemigroup.with_facets(sg.rank, sg.generators, sg.cone.facets)
         brute = BruteSemigroup(sg.generators, sg.rank, (sg.cone.facets, ()))
-        del searched[:]
+        del searched[:], kernels[:]
         assert list(fresh.minimal_generators()) == brute.minimal_generators(), sg
-        if is_smooth(sg):
-            assert searched == [], sg
+        if is_smooth(fresh):
+            assert searched == [] and kernels == [], sg
             smooth += 1
         else:
             singular += bool(searched)
