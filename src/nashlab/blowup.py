@@ -112,7 +112,8 @@ def log_jacobian(s: AffineSemigroup, ch) -> MonomialIdeal:
 
 def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Inclusion-minimal exponent set generating the same monomial ideal:
-    drop m whenever m ∈ m' + Γ for another exponent m'."""
+    drop m whenever m ∈ m' + Γ for another exponent m'.  The blowup step
+    does not need it: such an m is never a Newton-polyhedron vertex."""
     return replace(ideal, exponents=ideal.ambient.minimal_elements(ideal.exponents))
 
 
@@ -129,7 +130,11 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
 
     A non-vertex exponent lies in the relative interior of a face through
     some vertex; its chart is a localization of that vertex's chart, so it
-    adds nothing to the blowup and is not built.
+    adds nothing to the blowup and is not built.  An exponent in o′ + Γ
+    for another exponent o′ is never a vertex, so the ideal need not be
+    passed through :func:`minimalize`: the vertices, facets and charts stay
+    the same.  An exponent on fewer than d tight facets is no vertex and
+    costs no rank test.
 
     The chart at a vertex e is the tangent cone of the Newton polyhedron at
     e, so its facets are the Newton-cone facets (f, c) tight at (e, 1), cut
@@ -140,11 +145,10 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     and j not in B with B − i + j a basis, where B is a basis in
     ``ideal.bases`` summing to e: at most n + d(n − d) of them.  B needs no
     greedy pass (Edmonds, 1971): its weight c·e is the least over all bases.
-    Each exchange is o − e for the exponent o of B − i + j, which lies in a
-    minimal exponent plus Γ; and any basis B′ is reached from B by a
-    bijection σ: B∖B′ → B′∖B with each B − x + σ(x) a basis (Brualdi,
-    1969), so Σ B′ − e = Σ (σ(x) − x).  So they generate the same
-    semigroup as Γ and all differences o − e.
+    Each exchange is o − e for the exponent o of B − i + j; and any basis
+    B′ is reached from B by a bijection σ: B∖B′ → B′∖B with each
+    B − x + σ(x) a basis (Brualdi, 1969), so Σ B′ − e = Σ (σ(x) − x).  So
+    they generate the same semigroup as Γ and all differences o − e.
     """
     if ideal.bases is None:
         raise ValueError("blowup_charts needs the basis table (bases) that log_jacobian records")
@@ -152,7 +156,10 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     d = s.rank
     exps = ideal.exponents
 
-    lifted = [e + (1,) for e in exps] + [g + (0,) for g in s.generators]
+    # recession generators first: they cut the cone down to (dual cone of Γ)
+    # × R at once, which keeps the double description's intermediate cones
+    # small; the facets do not depend on the order
+    lifted = [g + (0,) for g in s.generators] + [e + (1,) for e in exps]
     facets, equations = dual_rays(lifted, d + 1)
     if equations:
         raise AssertionError("Newton cone of a full-rank semigroup must be full-dimensional")
@@ -161,7 +168,7 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     for e in exps:
         lift = e + (1,)
         tight = [f for f in facets if dot(f, lift) == 0]
-        if matrix_rank(tight) != d:
+        if len(tight) < d or matrix_rank(tight) != d:
             continue
         cert = tuple(sum(f[i] for f in tight) for i in range(d))
         for other in exps:
@@ -188,7 +195,7 @@ def step_charts(s: AffineSemigroup, ch, normalized: bool) -> list:
     minimal generators (its Hilbert basis when ``normalized``); ordered by
     base exponent."""
     out = []
-    for chart in blowup_charts(minimalize(log_jacobian(s, ch))):
+    for chart in blowup_charts(log_jacobian(s, ch)):
         sg = chart.semigroup
         sg = sg.saturation() if normalized else sg.minimal_presentation()
         out.append(replace(chart, semigroup=sg))

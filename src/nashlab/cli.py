@@ -219,7 +219,8 @@ def _add_run_flags(p):
     p.add_argument("--max-depth", type=int, default=None, help="iteration depth cap")
     p.add_argument("--max-nodes", type=int, default=500, help="total chart budget")
     p.add_argument("--jobs", type=int, default=1,
-                   help=f"worker processes for fresh chart expansions (at most {MAX_JOBS}), started when a run has one")
+                   help=f"worker processes for fresh chart expansions (at most {MAX_JOBS}), "
+                        "started when a run has one, never more than a level's fresh expansions")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
 

@@ -272,8 +272,10 @@ def run(
     Only a chart whose key is missing is expanded and stored; any other
     gets the stored children carried through a verified isomorphism from
     the stored representative.  With ``jobs > 1`` the fresh expansions run
-    in a pool of ``jobs`` processes, started at the first level that has
-    one and kept for the rest of the run; a run with none starts no pool.
+    in a pool of at most ``jobs`` processes, never more than the level has
+    fresh expansions: started at the first level that has one, kept while
+    it is large enough, and replaced by a larger one at a level with more
+    fresh expansions than workers; a run with none starts no pool.
     A worker takes and returns plain data, a stored expansion, whose
     children the run then carries like any other (by the identity map).
     The result is byte-identical for any ``jobs`` value and any
@@ -320,8 +322,13 @@ def run(
             fresh = [nodes[nid] for nid, key in expandable.items() if key not in expansions]
             results = {}  # id -> live expansion of a fresh chart expanded in this process
             if jobs > 1 and fresh:
+                want = min(jobs, len(fresh))
+                if pool is not None and size < want:
+                    pool.close()
+                    pool.join()
+                    pool = None
                 if pool is None:
-                    pool = multiprocessing.Pool(processes=jobs)
+                    pool, size = multiprocessing.Pool(processes=want), want
                 tasks = [(n.semigroup.rank, n.semigroup.generators, n.semigroup.cone.facets, *step)
                          for n in fresh]
                 plain = pool.map(_expand_worker, tasks)

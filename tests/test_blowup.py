@@ -275,6 +275,29 @@ def test_blowup_charts_needs_the_basis_table():
     assert bare == log_jacobian(s, 0) and minimalize(bare).bases is None
 
 
+def test_blowup_charts_need_no_minimalization():
+    """An exponent in o′ + Γ for another exponent o′ is never a vertex, so
+    the charts of the whole ideal are those of its minimalization, on every
+    ``chart_corpus()`` parent in chars 0/2/3/5: base exponents, generators,
+    facets and vertex certificates."""
+    def charts(ideal):
+        return [(c.base_exponent, c.semigroup.generators, c.semigroup.cone.facets,
+                 c.vertex_certificate) for c in blowup_charts(ideal)]
+
+    checked = shrunk = 0
+    for s, _ in corpus_parents():
+        for ch in (0, 2, 3, 5):
+            try:
+                ideal = log_jacobian(s, ch)
+            except EmptyLogJacobian:
+                continue
+            minimal = minimalize(ideal)
+            assert charts(ideal) == charts(minimal), (s, ch)
+            checked += 1
+            shrunk += minimal.exponents != ideal.exponents
+    assert checked > 700 and shrunk > 100
+
+
 def _checked_exchange_charts(s, ch, normalized):
     """Charts of ``s`` in characteristic ``ch``, each checked against the
     chart built from Γ and every minimal exponent difference, with its own

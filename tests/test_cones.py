@@ -48,7 +48,7 @@ def test_dual_rays_hand_cases():
 
 def test_dual_rays_matches_brute_oracle_when_pointed():
     """Exact ray-set equality against subset-kernel enumeration whenever the
-    solution cone is pointed."""
+    solution cone is pointed, in either order of the inequalities."""
     rng = random.Random(201)
     checked = 0
     for _ in range(120):
@@ -66,6 +66,7 @@ def test_dual_rays_matches_brute_oracle_when_pointed():
             continue
         checked += 1
         assert rays == brays
+        assert dual_rays(vecs[::-1], d) == (brays, ())
     assert checked >= 40
 
 

@@ -13,7 +13,7 @@ import nashlab.cones
 import nashlab.iterate
 import nashlab.semigroups
 from nashlab.blowup import EmptyLogJacobian, step_charts
-from nashlab.cli import _run_config, _sweep_instances, build_parser
+from nashlab.cli import MAX_JOBS, _run_config, _sweep_instances, build_parser, main
 from nashlab.families import (
     counterexample_x,
     cyclic_quotient,
@@ -501,19 +501,23 @@ def test_a_bad_certificate_or_stored_entry_fails_loudly(monkeypatch):
 
 class _PoolRecorder:
     """Stands in for ``multiprocessing`` inside ``nashlab.iterate``: records
-    each pool's start, maps, close and join, and the tasks and results of
-    its maps, which it runs in this process."""
+    each pool's start, maps, close and join, the tasks and results of its
+    maps, which it runs in this process, and each pool's size with the task
+    count of each of its maps."""
 
     def __init__(self):
-        self.events, self.tasks, self.results = [], [], []
+        self.events, self.tasks, self.results, self.pools = [], [], [], []
 
     def Pool(self, processes):  # noqa: N802  (mirrors multiprocessing.Pool)
         recorder, events = self, self.events
         events.append(("start", processes))
+        maps = []
+        self.pools.append((processes, maps))
 
         class RecordingPool:
             def map(self, fn, tasks):
                 events.append("map")
+                maps.append(len(tasks))
                 recorder.tasks += tasks
                 recorder.results += [fn(t) for t in tasks]
                 return recorder.results[-len(tasks):]
@@ -553,11 +557,37 @@ def test_pool_tasks_and_results_are_plain_data(recorder):
 
 def test_a_pool_starts_once_at_the_first_fresh_expansion(pools):
     """The root needs an expansion, so the pool starts at level 0 and serves
-    every later level; it is closed and joined once the run ends."""
+    every later level; no level has two fresh expansions, so one worker
+    does, and the pool is closed and joined once the run ends."""
     tree = run(cyclic_quotient(11, 24), RunConfig(normalized=True), jobs=2)
     maps = pools.count("map")
-    assert pools == [("start", 2), *["map"] * maps, "close", "join"]
+    assert pools == [("start", 1), *["map"] * maps, "close", "join"]
     assert 1 < maps <= tree.stats()["depth_reached"]
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_a_pool_grows_to_the_fresh_expansions_of_a_level(recorder, jobs):
+    """cdll's root is one fresh expansion, so its pool has one worker; the
+    five fresh charts of level 1 replace it by a pool of min(jobs, 5)
+    workers.  The report is the ``jobs=1`` one."""
+    cfg = RunConfig(max_depth=2)
+    tree = run(from_preset("cdll"), cfg, jobs=jobs)
+    fresh = sum(1 for n in tree.nodes if n.depth == 1 and n.children)
+    assert fresh == 5
+    assert recorder.events == [("start", 1), "map", "close", "join",
+                               ("start", min(jobs, fresh)), "map", "close", "join"]
+    assert _report(tree) == _report(run(from_preset("cdll"), cfg))
+
+
+def test_no_worker_waits_without_a_task(recorder):
+    """At ``--jobs MAX_JOBS`` every pool of a sweep has as many workers as
+    the level that starts it has tasks, and no later map of that pool has
+    more; the recorder starts no process."""
+    argv = ["sweep", "cyclic_quotient", "--b-max", "5", "--jobs", str(MAX_JOBS)]
+    assert main(argv) == 0
+    assert recorder.pools and max(p for p, _ in recorder.pools) > 1
+    for processes, maps in recorder.pools:
+        assert processes == maps[0] == max(maps) < MAX_JOBS
 
 
 def test_no_pool_without_a_fresh_expansion(pools):
@@ -587,7 +617,7 @@ def test_a_failing_run_still_closes_its_pool(pools, monkeypatch):
     monkeypatch.setattr(nashlab.iterate, "_carried", failing_carry)
     with pytest.raises(RuntimeError, match="carry failed"):
         run(cyclic_quotient(2, 3), cfg, jobs=2, expansions=shared)
-    assert pools == [("start", 2), "map", "close", "join"]
+    assert pools == [("start", 1), "map", "close", "join"]
 
 
 def test_a_carry_builds_each_child_once(monkeypatch):
