@@ -9,7 +9,7 @@ exchanges of a basis that sums to the vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from itertools import combinations
 
 from .cones import dual_rays
@@ -48,7 +48,6 @@ def validate_characteristic(ch) -> int:
     return ch
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """Finite exponent set inside an ambient semigroup, sorted and
     duplicate-free.
@@ -59,16 +58,20 @@ class MonomialIdeal:
     to its sum, the exponent it gives.  ``None`` for any other ideal.
     """
 
-    ambient: AffineSemigroup
-    exponents: tuple
-    bases: dict | None = field(default=None, compare=False, repr=False)
+    def __init__(self, ambient: AffineSemigroup, exponents, bases: dict | None = None):
+        self.ambient = ambient
+        self.exponents = tuple(sorted(set(exponents)))
+        self.bases = bases
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(sorted(set(self.exponents))))
+    def __eq__(self, other):
+        return (isinstance(other, MonomialIdeal)
+                and (self.ambient, self.exponents) == (other.ambient, other.exponents))
+
+    def __hash__(self):
+        return hash((self.ambient, self.exponents))
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(namedtuple("Chart", "base_exponent semigroup vertex_certificate")):
     """One affine chart of a monomial-ideal blowup, at a vertex of the
     Newton polyhedron.
 
@@ -81,10 +84,7 @@ class Chart:
     strictly positive on every chart generator.
     """
 
-    base_exponent: tuple
-    semigroup: AffineSemigroup
-    vertex_certificate: tuple
-
+    __slots__ = ()
     vertex = True  # charts are only built at certified vertices
 
 
@@ -114,7 +114,7 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Inclusion-minimal exponent set generating the same monomial ideal:
     drop m whenever m ∈ m' + Γ for another exponent m'.  The blowup step
     does not need it: such an m is never a Newton-polyhedron vertex."""
-    return replace(ideal, exponents=ideal.ambient.minimal_elements(ideal.exponents))
+    return MonomialIdeal(ideal.ambient, ideal.ambient.minimal_elements(ideal.exponents), ideal.bases)
 
 
 def blowup_charts(ideal: MonomialIdeal) -> list:
@@ -198,6 +198,6 @@ def step_charts(s: AffineSemigroup, ch, normalized: bool) -> list:
     for chart in blowup_charts(log_jacobian(s, ch)):
         sg = chart.semigroup
         sg = sg.saturation() if normalized else sg.minimal_presentation()
-        out.append(replace(chart, semigroup=sg))
+        out.append(chart._replace(semigroup=sg))
     return out
 

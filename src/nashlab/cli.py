@@ -7,10 +7,7 @@ Exit codes for ``nash``: 0 = Resolved, 2 = CounterexampleCycle,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import random
 import sys
 import time
 from contextlib import nullcontext
@@ -160,6 +157,7 @@ def _sweep_instances(args):
         if args.count > available:
             raise CliError(f"--count {args.count} exceeds the {available} distinct generator "
                            f"sets of 2 to {k_max} integers in [2, {args.gen_max}]")
+        import random  # only this family draws its instances
         rng = random.Random(args.seed)
         seen = set()
         while len(seen) < args.count:
@@ -188,12 +186,11 @@ def cmd_sweep(args) -> int:
             }
         )
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        import csv  # only this format needs it
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["params", "verdict", "depth", "nodes"])
         for r in rows:
             writer.writerow([" ".join(str(p) for p in r["params"]), r["verdict"], r["depth"], r["nodes"]])
-        sys.stdout.write(buf.getvalue())
     else:
         _emit(
             {

@@ -1,13 +1,12 @@
 """Exact integer and rational linear algebra over lattices.
 
 Everything here works with arbitrary-precision Python ints, and
-``solve_rational`` with ``fractions.Fraction`` -- there is no floating point
-anywhere in this package.  Vectors are tuples of ints, matrices are
-sequences of rows.
+``solve_rational`` with ``fractions.Fraction``, imported only inside it --
+there is no floating point anywhere in this package.  Vectors are tuples of
+ints, matrices are sequences of rows.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul, sub
 
@@ -235,6 +234,7 @@ def solve_rational(A, b):
     Raises :class:`NoSolution` if inconsistent and :class:`Underdetermined`
     (carrying a saturated integer kernel basis) if A is rank-deficient.
     """
+    from fractions import Fraction  # imported here only: no run calls solve_rational
     rows = len(A)
     cols = len(A[0]) if rows else 0
     if len(b) != rows:

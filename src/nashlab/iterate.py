@@ -23,7 +23,6 @@ checked when the representative was expanded.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
 
 from .blowup import EmptyLogJacobian, step_charts, validate_characteristic
 from .semigroups import (
@@ -44,35 +43,38 @@ def default_max_depth(rank: int) -> int:
     return 25 if rank <= 3 else 10
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    characteristic: int = 0
-    normalized: bool = False
-    max_depth: int | None = None
-    max_nodes: int = 500
+    """Characteristic, blowup kind and budgets of a run, checked here:
+    ``max_depth`` None takes :func:`default_max_depth` of the root's rank."""
 
-    def __post_init__(self):
-        validate_characteristic(self.characteristic)
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be nonnegative")
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be positive")
+    def __init__(self, characteristic: int = 0, normalized: bool = False,
+                 max_depth: int | None = None, max_nodes: int = 500):
+        validate_characteristic(characteristic)
+        if type(normalized) is not bool:
+            raise ValueError("normalized must be a bool")
+        if max_depth is not None and not (type(max_depth) is int and max_depth >= 0):
+            raise ValueError("max_depth must be a nonnegative integer")
+        if not (type(max_nodes) is int and max_nodes >= 1):
+            raise ValueError("max_nodes must be a positive integer")
+        self.characteristic = characteristic
+        self.normalized = normalized
+        self.max_depth = max_depth
+        self.max_nodes = max_nodes
 
 
-@dataclass
 class IterationNode:
-    id: int
-    semigroup: AffineSemigroup
-    parent: int | None
-    depth: int
-    base_exponent: tuple | None = None
-    unit_rank: int = 0
-    verdict: str | None = None
-    cycle_target: int | None = None
-    closes_cycle: bool = False
-    certificate: object = None
-    annotation: str | None = None
-    children: list = field(default_factory=list)
+    """One chart of the tree: its place, and its leaf verdict once classified."""
+
+    def __init__(self, id: int, semigroup: AffineSemigroup, parent: int | None, depth: int,
+                 base_exponent: tuple | None = None, unit_rank: int = 0,
+                 verdict: str | None = None, cycle_target: int | None = None,
+                 closes_cycle: bool = False, certificate=None, annotation: str | None = None,
+                 children=()):
+        self.id, self.semigroup, self.parent, self.depth = id, semigroup, parent, depth
+        self.base_exponent, self.unit_rank = base_exponent, unit_rank
+        self.verdict, self.cycle_target, self.closes_cycle = verdict, cycle_target, closes_cycle
+        self.certificate, self.annotation = certificate, annotation
+        self.children = list(children)
 
 
 class IterationTree:

@@ -9,7 +9,6 @@ which every blowup-facing operation assumes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 
@@ -312,12 +311,12 @@ def is_smooth(s: AffineSemigroup) -> bool:
     return u > 0 and _free_basis(pointed) is not None
 
 
-@dataclass(frozen=True)
 class IsoCertificate:
     """Witness of a torus-equivariant isomorphism: a unimodular matrix U with
     U · (minimal generators of source) = minimal generators of target."""
 
-    matrix: tuple
+    def __init__(self, matrix: tuple):
+        self.matrix = matrix
 
     def apply(self, v):
         return tuple(dot(row, v) for row in self.matrix)

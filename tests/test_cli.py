@@ -2,6 +2,8 @@
 sweeps, DOT emission, and byte-level determinism."""
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -287,3 +289,19 @@ def test_pipeline_runs_without_smith_form_rational_solving_or_containment(capsys
     assert code == 0 and json.loads(out)["nodes"][0]["unit_rank"] == 1
     code, out, _ = run_cli(["describe", "example:reeve:3", "--saturate"], capsys)
     assert code == 0 and json.loads(out)["hilbert_basis"]
+
+
+def test_cli_import_leaves_out_dataclasses_fractions_and_csv():
+    """Every ``nash`` call is a fresh process that imports the CLI first, so
+    the CLI must not pull in ``dataclasses`` (and with it ``inspect``), nor
+    ``fractions`` and ``csv``, which only ``solve_rational`` and
+    ``sweep --format csv`` use."""
+    src = os.path.dirname(os.path.dirname(nashlab.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, nashlab.cli; "
+             "print([m for m in ('dataclasses', 'inspect', 'fractions', 'csv') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -42,6 +42,19 @@ def test_run_config_validation():
         RunConfig(max_depth=-1)
     with pytest.raises(ValueError):
         RunConfig(max_nodes=0)
+    with pytest.raises(ValueError, match="normalized must be a bool"):
+        RunConfig(normalized="no")
+    with pytest.raises(ValueError, match="max_nodes must be a positive integer"):
+        RunConfig(max_nodes=True)
+    with pytest.raises(ValueError, match="max_nodes must be a positive integer"):
+        RunConfig(max_nodes=2.5)
+    with pytest.raises(ValueError, match="max_depth must be a nonnegative integer"):
+        RunConfig(max_depth=1.5)
+    with pytest.raises(ValueError, match="max_depth must be a nonnegative integer"):
+        RunConfig(max_depth=False)
+    cfg = RunConfig(3, True, 0, 1)
+    assert (cfg.characteristic, cfg.normalized, cfg.max_depth, cfg.max_nodes) == (3, True, 0, 1)
+    assert (RunConfig().normalized, RunConfig().max_depth, RunConfig().max_nodes) == (False, None, 500)
     assert default_max_depth(2) == 25
     assert default_max_depth(4) == 10
 
