@@ -46,7 +46,7 @@ def _load_input(text: str):
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise CliError(f"cannot read {text!r}: {e}")
         label = text
     try:

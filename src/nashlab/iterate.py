@@ -22,7 +22,7 @@ checked when the representative was expanded.
 """
 from __future__ import annotations
 
-import multiprocessing
+import sys
 
 from .blowup import EmptyLogJacobian, step_charts, validate_characteristic
 from .semigroups import (
@@ -36,6 +36,15 @@ from .semigroups import (
 )
 
 _VERDICTS = ("Smooth", "Cycle", "DepthLimit")
+
+
+def __getattr__(name):
+    """Import ``multiprocessing`` on first access and bind it as a global."""
+    if name != "multiprocessing":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import multiprocessing
+    globals()[name] = multiprocessing
+    return multiprocessing
 
 
 def default_max_depth(rank: int) -> int:
@@ -280,6 +289,9 @@ def run(
     fresh expansions than workers; a run with none starts no pool.
     A worker takes and returns plain data, a stored expansion, whose
     children the run then carries like any other (by the identity map).
+    Only a run with ``jobs > 1`` imports :mod:`multiprocessing`, by looking
+    up this module's ``multiprocessing`` (a replacement set there wins) at
+    its entry: importing it at the first pool made every fork slower.
     The result is byte-identical for any ``jobs`` value and any
     ``expansions``.
     """
@@ -295,6 +307,8 @@ def run(
     step = (config.characteristic, config.normalized)
     if expansions is None:
         expansions = {}
+    # resolved here, not at the first pool: importing it there made every fork slower
+    mp = sys.modules[__name__].multiprocessing if jobs > 1 else None
     pool = None
     try:
         while level:
@@ -330,7 +344,7 @@ def run(
                     pool.join()
                     pool = None
                 if pool is None:
-                    pool, size = multiprocessing.Pool(processes=want), want
+                    pool, size = mp.Pool(processes=want), want
                 tasks = [(n.semigroup.rank, n.semigroup.generators, n.semigroup.cone.facets, *step)
                          for n in fresh]
                 plain = pool.map(_expand_worker, tasks)

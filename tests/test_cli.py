@@ -111,6 +111,15 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_non_utf8_file_is_a_read_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe")
+    for command in ("nash", "describe"):
+        code, out, err = run_cli([command, str(p)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {str(p)!r}: ") and err.count("\n") == 1
+
+
 def test_input_error_exits_one(capsys):
     assert run_cli(["nash", "example:mystery"], capsys)[0] == 1
     assert run_cli(["nash", "example:nobile", "--char", "4"], capsys)[0] == 1
@@ -295,13 +304,32 @@ def test_cli_import_leaves_out_dataclasses_fractions_and_csv():
     """Every ``nash`` call is a fresh process that imports the CLI first, so
     the CLI must not pull in ``dataclasses`` (and with it ``inspect``), nor
     ``fractions`` and ``csv``, which only ``solve_rational`` and
-    ``sweep --format csv`` use."""
+    ``sweep --format csv`` use, nor ``multiprocessing`` (with ``pickle`` and
+    ``socket``), which only a run at ``--jobs > 1`` imports.  A ``--jobs 2``
+    run loads it and reports what a ``--jobs 1`` run does."""
     src = os.path.dirname(os.path.dirname(nashlab.cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, nashlab.cli; "
-             "print([m for m in ('dataclasses', 'inspect', 'fractions', 'csv') if m in sys.modules])")
+    probe = """if True:
+        import contextlib, io, json, sys
+        import nashlab.cli
+        heavy = ("dataclasses", "inspect", "fractions", "csv",
+                 "multiprocessing", "pickle", "socket")
+        def loaded():
+            return [m for m in heavy if m in sys.modules]
+        def nash(*extra):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = nashlab.cli.main(["nash", "example:cdll", "--max-depth", "1", *extra])
+            report = json.loads(out.getvalue())
+            del report["timing_seconds"]
+            return code, report, loaded()
+        print(json.dumps([loaded(), nash(), nash("--jobs", "2")]))
+    """
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    at_import, (code1, report1, after1), (code2, report2, after2) = json.loads(done.stdout)
+    assert at_import == [] and after1 == []
+    assert "multiprocessing" in after2
+    assert (code2, report2) == (code1, report1)

@@ -2,6 +2,7 @@
 coordinate invariance, expansions shared across runs, the worker pool's
 lifecycle, DOT and JSON serialization."""
 import json
+import multiprocessing
 import pickle
 import random
 from collections import Counter
@@ -554,6 +555,19 @@ def recorder(monkeypatch):
 @pytest.fixture
 def pools(recorder):
     return recorder.events
+
+
+def test_multiprocessing_is_the_only_attribute_resolved_on_demand():
+    assert not hasattr(nashlab.iterate, "no_such_name")
+    assert nashlab.iterate.multiprocessing is multiprocessing
+
+
+def test_a_run_pools_through_the_multiprocessing_set_on_the_module(recorder):
+    """A ``jobs=2`` run takes its pools from whatever ``multiprocessing`` the
+    module holds, and leaves that binding in place."""
+    run(cyclic_quotient(11, 24), RunConfig(normalized=True), jobs=2)
+    assert recorder.pools
+    assert nashlab.iterate.multiprocessing is recorder
 
 
 def test_pool_tasks_and_results_are_plain_data(recorder):
