@@ -6,9 +6,13 @@ isomorphism class is expanded.  Breadth-first expansion ends in three leaf
 verdicts: ``Smooth`` (chart is nonsingular), ``Cycle`` (chart is
 equivariantly isomorphic to an earlier chart, its class representative,
 with a verified unimodular certificate), and ``DepthLimit`` (depth or node
-budget exhausted, or an empty ideal).  The class graph has the edges
-parent -> child plus Cycle leaf -> representative; a Cycle leaf that this
-graph leads back to certifies that the iteration never terminates.
+budget exhausted).  The class graph has the edges parent -> child plus
+Cycle leaf -> representative; a Cycle leaf that this graph leads back to
+certifies that the iteration never terminates.
+
+A run starts on the lattice its root generates and a chart keeps its
+parent's, so a chart's rank-size minors have gcd 1 (Newman, *Integral
+Matrices*, 1972, ch. II): some survives in every characteristic.
 
 The same fact spans runs and processes: :func:`run` keeps each class's
 expansion, as plain data, in a dict that a sweep shares across its
@@ -24,10 +28,11 @@ from __future__ import annotations
 
 import sys
 
-from .blowup import EmptyLogJacobian, step_charts, validate_characteristic
+from .blowup import step_charts, validate_characteristic
 from .semigroups import (
     AffineSemigroup,
     canonical_form,
+    canonicalize,
     invariant_key,
     is_smooth,
     isomorphic,
@@ -201,21 +206,15 @@ class IterationTree:
 
 
 def _expand(sg, ch, normalized):
-    """``("ok", [(base, chart), ...])`` in ``step_charts`` order, or ``("empty", reason)``."""
-    try:
-        return "ok", [(c.base_exponent, c.semigroup) for c in step_charts(sg, ch, normalized)]
-    except EmptyLogJacobian as e:
-        return "empty", str(e)
+    """``[(base, chart), ...]`` in ``step_charts`` order."""
+    return [(c.base_exponent, c.semigroup) for c in step_charts(sg, ch, normalized)]
 
 
-def _plain(result):
-    """``result`` with each child as plain ``(base, generators, facets)``,
+def _plain(charts):
+    """``charts`` with each child as plain ``(base, generators, facets)``,
     as a stored expansion holds it: no semigroup is kept, so the nodes and
     their caches stay collectable."""
-    status, payload = result
-    if status == "empty":
-        return result
-    return status, [(base, c.generators, c.cone.facets) for base, c in payload]
+    return [(base, c.generators, c.cone.facets) for base, c in charts]
 
 
 def _expand_worker(task):
@@ -233,9 +232,7 @@ def _carried(entry, sg):
     representative, plain expansion)``: the children carried by the
     verified certificate U from the representative onto ``sg``, at base
     exponents U·e, in base-exponent order like :func:`step_charts`."""
-    form, (status, children) = entry
-    if status == "empty":
-        return status, children
+    form, children = entry
     (rank, _), gens = form
     rep = AffineSemigroup(rank, gens)
     rep._mingens, rep._key = rep.generators, form
@@ -243,7 +240,7 @@ def _carried(entry, sg):
     if cert is None or not cert.verify(rep, sg):
         raise AssertionError("stored class representative not verified isomorphic to the chart")
     charts = [(cert.apply(base), cert.image(g, f)) for base, g, f in children]
-    return "ok", sorted(charts, key=lambda c: c[0])
+    return sorted(charts, key=lambda c: c[0])
 
 
 def _mark_closed_cycles(nodes) -> None:
@@ -269,12 +266,15 @@ def run(
     jobs: int = 1,
     expansions: dict | None = None,
 ) -> IterationTree:
-    """Iterate the (normalized) Nash blowup from ``root`` breadth-first.
+    """Iterate the (normalized) Nash blowup breadth-first from ``root``, or
+    from :func:`~nashlab.semigroups.canonicalize` of its generators if it
+    is not canonical.
 
     Within each level, nodes are first classified in id order and only then
-    expanded.  A smooth chart is a ``Smooth`` leaf.  A chart isomorphic to
-    the representative of an earlier class (sibling, cousin or ancestor)
-    is a ``Cycle`` leaf pointing at it and is not expanded.  Any other chart
+    expanded, in id order, while the node budget can take children.  A
+    smooth chart is a ``Smooth`` leaf.  A chart isomorphic to the
+    representative of an earlier class (sibling, cousin or ancestor) is a
+    ``Cycle`` leaf pointing at it and is not expanded.  Any other chart
     becomes its class's representative and is expanded unless a budget
     stops it.  Children enter the next level in ``step_charts`` order.
 
@@ -282,21 +282,23 @@ def run(
     class's stored expansion; pass one dict to several runs to share them.
     Only a chart whose key is missing is expanded and stored; any other
     gets the stored children carried through a verified isomorphism from
-    the stored representative.  With ``jobs > 1`` the fresh expansions run
-    in a pool of at most ``jobs`` processes, never more than the level has
-    fresh expansions: started at the first level that has one, kept while
-    it is large enough, and replaced by a larger one at a level with more
-    fresh expansions than workers; a run with none starts no pool.
-    A worker takes and returns plain data, a stored expansion, whose
-    children the run then carries like any other (by the identity map).
-    Only a run with ``jobs > 1`` imports :mod:`multiprocessing`, by looking
-    up this module's ``multiprocessing`` (a replacement set there wins) at
-    its entry: importing it at the first pool made every fork slower.
-    The result is byte-identical for any ``jobs`` value and any
+    the stored representative.  With ``jobs > 1`` all fresh expansions of a
+    level run first, in a pool of at most ``jobs`` processes, never more
+    than the level has fresh expansions: started at the first level that
+    has one, kept while it is large enough, and replaced by a larger one at
+    a level with more fresh expansions than workers; a run with none starts
+    no pool.  A worker takes and returns plain data, a stored expansion,
+    whose children the run then carries like any other (by the identity
+    map).  Only a run with ``jobs > 1`` imports :mod:`multiprocessing`, by
+    looking up this module's ``multiprocessing`` (a replacement set there
+    wins) at its entry: importing it at the first pool made every fork
+    slower.  The result is byte-identical for any ``jobs`` value and any
     ``expansions``.
     """
     if config is None:
         config = RunConfig()
+    if root.rank and canonicalize(root.generators) != root:
+        root = canonicalize(root.generators)
     max_depth = config.max_depth if config.max_depth is not None else default_max_depth(root.rank)
 
     pointed, unit_rank = unit_quotient(root)
@@ -335,9 +337,8 @@ def run(
                     continue
                 expandable[nid] = (*step, key)
 
-            fresh = [nodes[nid] for nid, key in expandable.items() if key not in expansions]
-            results = {}  # id -> live expansion of a fresh chart expanded in this process
-            if jobs > 1 and fresh:
+            fresh = [nodes[nid] for nid, key in expandable.items() if key not in expansions] if jobs > 1 else []
+            if fresh:
                 want = min(jobs, len(fresh))
                 if pool is not None and size < want:
                     pool.close()
@@ -347,22 +348,20 @@ def run(
                     pool, size = mp.Pool(processes=want), want
                 tasks = [(n.semigroup.rank, n.semigroup.generators, n.semigroup.cone.facets, *step)
                          for n in fresh]
-                plain = pool.map(_expand_worker, tasks)
-            else:
-                results = {n.id: _expand(n.semigroup, *step) for n in fresh}
-                plain = map(_plain, results.values())
-            for node, result in zip(fresh, plain):
-                expansions[expandable[node.id]] = canonical_form(node.semigroup), result
+                for node, plain in zip(fresh, pool.map(_expand_worker, tasks)):
+                    expansions[expandable[node.id]] = canonical_form(node.semigroup), plain
 
             next_level = []
-            for nid in expandable:
+            for nid, key in expandable.items():
                 node = nodes[nid]
-                status, payload = results.get(nid) or _carried(expansions[expandable[nid]], node.semigroup)
-                if status == "empty":
-                    node.verdict = "DepthLimit"
-                    node.annotation = f"empty logarithmic Jacobian ideal: {payload}"
-                    continue
-                if len(nodes) + len(payload) > config.max_nodes:
+                if len(nodes) == config.max_nodes:
+                    payload = None  # a step has at least one chart, so none would fit
+                elif key in expansions:
+                    payload = _carried(expansions[key], node.semigroup)
+                else:
+                    payload = _expand(node.semigroup, *step)
+                    expansions[key] = canonical_form(node.semigroup), _plain(payload)
+                if payload is None or len(nodes) + len(payload) > config.max_nodes:
                     node.verdict = "DepthLimit"
                     node.annotation = "node budget exhausted"
                     continue

@@ -232,3 +232,22 @@ def test_positive_characteristic_survey_is_definite(capsys):
         key: "CounterexampleCycle" if key in cycles else "Resolved" for key in verdicts
     }
     assert len(verdicts) == 16
+
+
+def test_reeve_five_cycles_in_characteristic_zero(capsys):
+    """reeve(5) in characteristic 0, at depth 8 with 10,000 nodes: leaf 9019
+    (depth 8) closes a cycle onto node 1498 (depth 6).  The node budget
+    binds at level 7, so the run is fast only because a chart the budget
+    stops is not expanded (expanding every fresh chart of a level first took
+    about four times as long)."""
+    started = time.perf_counter()
+    tree = run(reeve(5), RunConfig(characteristic=0, max_depth=8, max_nodes=10000))
+    elapsed = time.perf_counter() - started
+    assert tree.verdict_summary == "CounterexampleCycle"
+    closing = [(n.id, n.depth, n.cycle_target) for n in tree.nodes if n.closes_cycle]
+    assert closing == [(9019, 8, 1498)]
+    assert tree.nodes[1498].depth == 6
+    assert tree.stats()["nodes_per_level"] == [1, 5, 22, 49, 319, 810, 1446, 6111, 1237]
+    assert elapsed < 30.0, f"reeve(5) took {elapsed:.2f}s (budget 30s)"
+    with capsys.disabled():
+        print(f"\nACCEPTANCE reeve(5) PASS: char 0 cycle 9019 -> 1498 at depth 8 ({elapsed:.2f}s)")

@@ -266,6 +266,30 @@ def test_log_jacobian_records_every_basis_with_its_exponent():
     assert checked > 700
 
 
+def test_the_lattice_index_decides_an_empty_log_jacobian():
+    """The gcd of the rank-size minors is the index of the generated lattice
+    (Newman, *Integral Matrices*, 1972, ch. II).  So on every canonical
+    ``corpus_parents()`` semigroup the logarithmic Jacobian is nonempty in
+    chars 2/3/5/7; moved by an integer M of known |det M|, every minor is
+    multiplied by det M, and the ideal is empty exactly when p divides it."""
+    rng = random.Random(2104)
+    for s, _ in corpus_parents():
+        d = s.rank
+        for ch in (2, 3, 5, 7):
+            assert log_jacobian(s, ch).exponents
+        index = rng.choice((2, 3, 5, 6, 7, 10, 21))
+        m, r = rand_unimodular(rng, d), rng.randrange(d)
+        m[r] = [index * x for x in m[r]]
+        assert abs(frac_det(m)) == index
+        moved = AffineSemigroup(d, [apply_matrix(m, g) for g in s.generators])
+        for ch in (2, 3, 5, 7):
+            if index % ch == 0:
+                with pytest.raises(EmptyLogJacobian):
+                    log_jacobian(moved, ch)
+            else:
+                assert log_jacobian(moved, ch).exponents
+
+
 def test_blowup_charts_needs_the_basis_table():
     s = canonicalize([(2,), (3,)])
     bare = MonomialIdeal(ambient=s, exponents=((2,), (3,)))

@@ -33,7 +33,7 @@ from nashlab.iterate import (
 )
 from nashlab.semigroups import AffineSemigroup, IsoCertificate, canonicalize
 
-from .helpers import chart_corpus, rand_unimodular, scramble
+from .helpers import apply_matrix, chart_corpus, rand_unimodular, scramble
 
 
 def test_run_config_validation():
@@ -294,11 +294,59 @@ def test_node_budget_annotation():
     assert len(tree.nodes) <= 12
 
 
-def test_empty_log_jacobian_becomes_depth_limit():
-    tree = run(AffineSemigroup(1, [(2,)]), RunConfig(characteristic=2))
-    assert tree.verdict_summary == "Inconclusive"
-    assert tree.nodes[0].verdict == "DepthLimit"
-    assert "empty logarithmic Jacobian" in tree.nodes[0].annotation
+def test_a_root_runs_on_the_lattice_it_generates():
+    """<2> is the smooth curve N in index-2 coordinates, so it is Resolved
+    in every characteristic, and the A1 singularity in index-2 coordinates
+    resolves.  A root moved by an integer M with |det M| = 2 or 3 spans a
+    sublattice: its run is the run of its canonical form, and has the
+    verdict and stats of the unmoved root, in characteristics 2 and 3 as
+    well."""
+    for ch in (0, 2, 3):
+        tree = run(AffineSemigroup(1, [(2,)]), RunConfig(characteristic=ch))
+        assert tree.verdict_summary == "Resolved"
+        assert [n.verdict for n in tree.nodes] == ["Smooth"]
+    a1 = AffineSemigroup(2, [(2, 0), (1, 1), (0, 2)])  # the A1 singularity, index 2
+    assert run(a1).verdict_summary == "Resolved"
+    rng = random.Random(2103)
+    for s, cfg in [(cyclic_quotient(1, 2), RunConfig(characteristic=ch)) for ch in (0, 2, 3)] + [
+            (from_preset("cdll"), RunConfig(characteristic=ch, max_depth=1)) for ch in (0, 2)]:
+        tree = run(s, cfg)
+        for index in (2, 3):
+            m = rand_unimodular(rng, s.rank)
+            m[0] = [index * x for x in m[0]]
+            moved = AffineSemigroup(s.rank, [apply_matrix(m, g) for g in s.generators])
+            assert canonicalize(moved.generators) != moved
+            moved_tree = run(moved, cfg)
+            assert _report(moved_tree) == _report(run(canonicalize(moved.generators), cfg))
+            assert moved_tree.verdict_summary == tree.verdict_summary, (s, cfg, index)
+            assert moved_tree.stats() == tree.stats(), (s, cfg, index)
+
+
+def test_charts_stopped_by_the_node_budget_are_not_expanded(monkeypatch):
+    """reeve(4) in characteristic 3 with 300 nodes: 31 charts are stopped
+    by the node budget and 42 get children.  At ``jobs=1`` a chart is
+    expanded only when the tree can take children, so once the tree is
+    full no chart is expanded; the two charts stopped before then, whose
+    children would overflow the budget, cost one expansion each.  The
+    report is the ``jobs=2`` one, whose pool expands a level at once."""
+    cfg = RunConfig(characteristic=3, max_nodes=300)
+    calls = []
+    step = nashlab.iterate.step_charts
+
+    def counted_step_charts(*args):
+        calls.append(args[0])
+        return step(*args)
+
+    monkeypatch.setattr(nashlab.iterate, "step_charts", counted_step_charts)
+    tree = run(reeve(4), cfg)
+    stopped = [n.id for n in tree.nodes if n.annotation == "node budget exhausted"]
+    parents = [n.id for n in tree.nodes if n.children]
+    assert (len(tree.nodes), len(stopped), len(parents)) == (300, 31, 42)
+    expanded = {id(sg) for sg in calls}
+    assert len(calls) == len(expanded) == 44
+    assert [n.id for n in tree.nodes if id(n.semigroup) in expanded] == sorted(parents + [152, 157])
+    monkeypatch.setattr(nashlab.iterate, "step_charts", step)
+    assert _report(tree) == _report(run(reeve(4), cfg, jobs=2))
 
 
 def test_roots_are_reported_identically_across_runs_and_jobs():
@@ -401,12 +449,8 @@ def test_carried_expansions_equal_direct_ones(monkeypatch):
         shared = {}
         for root in roots:
             run(root, cfg, expansions=shared)
-        for sg, (status, payload) in hits:
-            if status == "empty":
-                with pytest.raises(EmptyLogJacobian):
-                    step_charts(sg, cfg.characteristic, cfg.normalized)
-            else:
-                _assert_same_charts(payload, step_charts(sg, cfg.characteristic, cfg.normalized))
+        for sg, payload in hits:
+            _assert_same_charts(payload, step_charts(sg, cfg.characteristic, cfg.normalized))
         checked += len(hits)
         hits.clear()
     assert checked > 500
@@ -502,10 +546,9 @@ def test_a_bad_certificate_or_stored_entry_fails_loudly(monkeypatch):
         m.setattr(nashlab.iterate, "isomorphic", lambda a, b: IsoCertificate(((0, 2), (1, 0))))
         with pytest.raises(AssertionError, match="not verified isomorphic"):
             run(cyclic_quotient(3, 5), cfg, expansions=shared)
-    form, (status, children) = good
-    (base, gens, facets), *rest = children
+    form, ((base, gens, facets), *rest) = good
     negated = [tuple(-x for x in f) for f in facets]
-    shared[key] = (form, (status, [(base, gens, negated), *rest]))
+    shared[key] = (form, [(base, gens, negated), *rest])
     with pytest.raises(AssertionError, match="facet is negative"):
         run(cyclic_quotient(3, 5), cfg, expansions=shared)
     shared[key] = good
@@ -661,12 +704,12 @@ def test_a_carry_builds_each_child_once(monkeypatch):
     def counted_carried(entry, sg):
         carrying.append(entry)
         try:
-            status, payload = carried(entry, sg)
+            payload = carried(entry, sg)
         finally:
             carrying.pop()
         counts["carries"] += 1
         counts["children"] += len(payload)
-        return status, payload
+        return payload
 
     def counted(name, fn):
         def wrapper(*args):
