@@ -102,7 +102,7 @@ def log_jacobian(s: AffineSemigroup, ch) -> MonomialIdeal:
     for index, sub in subsets:
         dv = determinant(sub)
         if (dv != 0) if ch == 0 else (dv % ch != 0):
-            bases[index] = tuple(sum(g[i] for g in sub) for i in range(d))
+            bases[index] = tuple(map(sum, zip(*sub)))
     if not bases:
         raise EmptyLogJacobian(
             f"every rank-subset determinant vanishes in characteristic {ch}"
@@ -171,8 +171,9 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
         if len(tight) < d or matrix_rank(tight) != d:
             continue
         cert = tuple(sum(f[i] for f in tight) for i in range(d))
+        least = dot(cert, e)
         for other in exps:
-            if other != e and not dot(cert, e) < dot(cert, other):
+            if other != e and not least < dot(cert, other):
                 raise AssertionError("vertex certificate failed verification")
         for g in s.generators:
             if not dot(cert, g) > 0:

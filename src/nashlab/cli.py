@@ -118,7 +118,10 @@ def cmd_describe(args) -> int:
     if args.saturate:
         if not s.is_pointed:
             raise CliError("--saturate requires a pointed semigroup")
-        doc["hilbert_basis"] = [list(g) for g in s.saturation().generators]
+        try:
+            doc["hilbert_basis"] = [list(g) for g in s.saturation().generators]
+        except ValueError as e:  # a parallelepiped above its bound
+            raise CliError(str(e))
     _emit(doc, args.pretty)
     return 0
 

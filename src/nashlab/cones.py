@@ -13,12 +13,19 @@ from operator import sub
 
 from .intlinalg import (
     adjugate,
+    determinant,
     dot,
     hermite_normal_form,
     kernel_basis,
     primitive,
     vneg,
 )
+
+
+#: Most lattice points a Hermite box in :func:`_parallelepiped_points` may
+#: hold; a larger one is rejected before it is enumerated.  The boxes that
+#: the demos and the benchmark workloads build hold at most 28.
+MAX_PARALLELEPIPED_POINTS = 10**6
 
 
 class DegenerateConeError(ValueError):
@@ -32,7 +39,12 @@ def dual_rays(vecs, rank):
     basis of the lineality space, both as sorted tuples of primitive integer
     vectors.  Inequalities are processed incrementally; adjacency of rays is
     decided by the combinatorial zero-set test on bitmasks of tight
-    inequalities.
+    inequalities.  That test scans every other ray, so a pair reaches it only
+    after the cardinality test: two adjacent rays span a face of dimension
+    l + 2, with l the dimension of the current lineality space, and that
+    face is the kernel of their common tight rows within the cone, so those
+    rows have rank, and number, at least rank - l - 2 (Fukuda and Prodon,
+    *Double description method revisited*, 1996).
     """
     lin = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
     rays = []  # [vector, tight-bitmask] pairs
@@ -78,6 +90,7 @@ def dual_rays(vecs, rank):
                 elif v == 0:
                     keep.append([rays[i][0], rays[i][1] | (1 << nproc)])
             new = []
+            least = rank - len(lin) - 2  # common tight rows of an adjacent pair
             for i, vi in enumerate(vals):
                 if vi <= 0:
                     continue
@@ -85,6 +98,8 @@ def dual_rays(vecs, rank):
                     if vj >= 0:
                         continue
                     common = rays[i][1] & rays[j][1]
+                    if common.bit_count() < least:
+                        continue
                     adjacent = True
                     for k, (_, mk) in enumerate(rays):
                         if k != i and k != j and (mk & common) == common:
@@ -158,10 +173,15 @@ class Cone:
         )
 
     def lineality_basis(self):
-        """Saturated lattice basis of the lineality space (empty if pointed)."""
+        """Saturated lattice basis of the lineality space (empty if pointed):
+        the integer kernel of the facets and span equations, and empty at
+        once when the facet matrix is square and nonsingular."""
         if self._lineality is None:
-            rows = list(self.facets) + list(self.span_equations)
-            if rows:
+            F = self.facets
+            rows = F + self.span_equations
+            if len(F) == self.rank and determinant(F):
+                self._lineality = ()
+            elif rows:
                 self._lineality = tuple(kernel_basis(rows))
             else:
                 self._lineality = tuple(
@@ -195,8 +215,14 @@ def _parallelepiped_points(rays, rank):
     """
     H, _ = hermite_normal_form(rays)
     diagonal = [H[i][i] for i in range(rank)]
-    if prod(diagonal) <= 1:
+    size = prod(diagonal)
+    if size <= 1:
         return []
+    if size > MAX_PARALLELEPIPED_POINTS:
+        raise ValueError(
+            f"a parallelepiped of {size} lattice points exceeds the bound "
+            f"MAX_PARALLELEPIPED_POINTS = {MAX_PARALLELEPIPED_POINTS}"
+        )
     V = [[rays[j][i] for j in range(rank)] for i in range(rank)]  # columns = rays
     adj, det = adjugate(V)
     points = []
@@ -218,13 +244,30 @@ def hilbert_basis(cone):
     reduced in order of degree (the sum of the facet values, positive on
     the cone minus 0): x is discarded when x - y lies in the cone for a
     kept candidate y of lower degree, which is a comparison of facet values.
+
+    A simplicial cone, whose facet matrix F is square, needs no double
+    description: F·adj(F) = |det F|·I, so its rays are the primitive
+    columns of adj(F), and when |det F| = 1 they are the whole Hilbert
+    basis (Cox, Little and Schenck, *Toric Varieties*, 2011, §1.3).  A
+    singular square F belongs to a cone with a line, rejected like any
+    other that is not pointed.
     """
     if not cone.generators:
         raise DegenerateConeError("cone has no nonzero generators")
     if cone.span_equations:
         raise ValueError("hilbert_basis needs a full-dimensional cone")
     d = cone.rank
-    rays = cone.extreme_rays()  # raises ValueError unless pointed
+    F = cone.facets
+    if len(F) == d:
+        try:
+            adj, det = adjugate(F)
+        except ValueError:
+            raise ValueError("hilbert_basis needs a pointed cone") from None
+        rays = tuple(sorted(map(primitive, zip(*adj))))
+        if det == 1:
+            return rays
+    else:
+        rays = cone.extreme_rays()  # raises ValueError unless pointed
     cands = set(rays)
     for subset in combinations(rays, d):
         cands.update(_parallelepiped_points(subset, d))

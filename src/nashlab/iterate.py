@@ -29,6 +29,7 @@ from __future__ import annotations
 import sys
 
 from .blowup import step_charts, validate_characteristic
+from .intlinalg import hermite_normal_form, identity_matrix
 from .semigroups import (
     AffineSemigroup,
     canonical_form,
@@ -297,7 +298,9 @@ def run(
     """
     if config is None:
         config = RunConfig()
-    if root.rank and canonicalize(root.generators) != root:
+    # canonical iff the generators span Z^rank, i.e. their Hermite form is I
+    H, _ = hermite_normal_form(root.generators)
+    if root.rank and [row for row in H if any(row)] != identity_matrix(root.rank):
         root = canonicalize(root.generators)
     max_depth = config.max_depth if config.max_depth is not None else default_max_depth(root.rank)
 

@@ -7,6 +7,8 @@ import random
 import time
 from math import gcd
 
+import pytest
+
 from nashlab.blowup import step_charts
 from nashlab.cli import main
 from nashlab.families import (
@@ -234,14 +236,15 @@ def test_positive_characteristic_survey_is_definite(capsys):
     assert len(verdicts) == 16
 
 
-def test_reeve_five_cycles_in_characteristic_zero(capsys):
-    """reeve(5) in characteristic 0, at depth 8 with 10,000 nodes: leaf 9019
-    (depth 8) closes a cycle onto node 1498 (depth 6).  The node budget
-    binds at level 7, so the run is fast only because a chart the budget
-    stops is not expanded (expanding every fresh chart of a level first took
-    about four times as long)."""
+@pytest.mark.parametrize("ch", [0, 7])
+def test_reeve_five_cycles_in_characteristic(ch, capsys):
+    """reeve(5) in characteristics 0 and 7, at depth 8 with 10,000 nodes:
+    leaf 9019 (depth 8) closes a cycle onto node 1498 (depth 6), with the
+    same levels in both.  The node budget binds at level 7, so the run is
+    fast only because a chart the budget stops is not expanded (expanding
+    every fresh chart of a level first took about four times as long)."""
     started = time.perf_counter()
-    tree = run(reeve(5), RunConfig(characteristic=0, max_depth=8, max_nodes=10000))
+    tree = run(reeve(5), RunConfig(characteristic=ch, max_depth=8, max_nodes=10000))
     elapsed = time.perf_counter() - started
     assert tree.verdict_summary == "CounterexampleCycle"
     closing = [(n.id, n.depth, n.cycle_target) for n in tree.nodes if n.closes_cycle]
@@ -250,4 +253,4 @@ def test_reeve_five_cycles_in_characteristic_zero(capsys):
     assert tree.stats()["nodes_per_level"] == [1, 5, 22, 49, 319, 810, 1446, 6111, 1237]
     assert elapsed < 30.0, f"reeve(5) took {elapsed:.2f}s (budget 30s)"
     with capsys.disabled():
-        print(f"\nACCEPTANCE reeve(5) PASS: char 0 cycle 9019 -> 1498 at depth 8 ({elapsed:.2f}s)")
+        print(f"\nACCEPTANCE reeve(5) PASS: char {ch} cycle 9019 -> 1498 at depth 8 ({elapsed:.2f}s)")

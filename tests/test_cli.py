@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import nashlab.cli
+import nashlab.cones
 import nashlab.intlinalg
 import nashlab.iterate
 from nashlab.cli import main
@@ -83,6 +84,20 @@ def test_describe_saturate_counts_hilbert_basis(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["hilbert_basis"]) == 3
+
+
+def test_a_parallelepiped_above_its_bound_is_a_one_line_error(monkeypatch, capsys):
+    """reeve(50)'s simplex spans a parallelepiped of 50 points; with the
+    bound set to 49, saturating it in ``describe --saturate`` or building
+    the ``example:reeve:50`` preset exits 1 with the bound's name."""
+    monkeypatch.setattr(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", 49)
+    gens = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 50, 1], [1, 1, 1, 2]]  # they span Z^4
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"generators": gens})))
+    for argv in (["describe", "-", "--saturate"], ["nash", "example:reeve:50"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "MAX_PARALLELEPIPED_POINTS = 49" in err
 
 
 def test_describe_smooth_plane(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Polyhedral layer: double description, cone predicates, Hilbert bases,
 saturation."""
 import random
+from math import comb
 
 import pytest
 
+import nashlab.cones
+from nashlab.blowup import log_jacobian
 from nashlab.cones import (
     Cone,
     DegenerateConeError,
@@ -11,14 +14,18 @@ from nashlab.cones import (
     dual_rays,
     hilbert_basis,
 )
-from nashlab.intlinalg import dot
+from nashlab.families import reeve
+from nashlab.intlinalg import dot, kernel_basis, matrix_rank, primitive
 
 from .helpers import (
     _lattice_contains,
     brute_dual_rays,
     brute_hilbert_basis,
     brute_parallelepiped_points,
+    corpus_parents,
     frac_det,
+    frac_nullspace,
+    primitive_int,
     rand_unimodular,
     apply_matrix,
     rays_by_definition,
@@ -68,6 +75,64 @@ def test_dual_rays_matches_brute_oracle_when_pointed():
         assert rays == brays
         assert dual_rays(vecs[::-1], d) == (brays, ())
     assert checked >= 40
+
+
+def test_dual_rays_match_brute_oracle_modulo_lineality():
+    """Inputs that span a proper subspace in ranks 3-5, so the dual has
+    lineality and the cardinality test's bound rank - len(lin) - 2 counts
+    it: the rays, read through a fixed integer basis W of the lineality's
+    orthogonal complement (x -> W x kills the lineality), are the brute
+    oracle's, in either order of the inputs."""
+    rng = random.Random(212)
+    done = {d: 0 for d in (3, 4, 5)}
+    while min(done.values()) < 15:
+        d = rng.choice((3, 4, 5))
+        span = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d - rng.randint(1, 2))]
+        vecs = [
+            tuple(sum(c * v[i] for c, v in zip(coeffs, span)) for i in range(d))
+            for coeffs in ([rng.randint(-2, 2) for _ in span] for _ in range(rng.randint(d, d + 4)))
+        ]
+        rays, lin = dual_rays(vecs, d)
+        brays, blin = brute_dual_rays(vecs, d)
+        if not blin or len(blin) == d or done[d] == 15:
+            continue
+        assert len(lin) == len(blin)
+        W = frac_nullspace(blin, d)
+
+        def modulo_lineality(rs):
+            return sorted(primitive_int([dot(w, r) for w in W]) for r in rs)
+
+        assert modulo_lineality(rays) == modulo_lineality(brays)
+        assert modulo_lineality(dual_rays(vecs[::-1], d)[0]) == modulo_lineality(brays)
+        done[d] += 1
+
+
+def test_dual_rays_on_newton_cones_of_corpus_parents():
+    """The Newton cone of every ``chart_corpus()`` parent in chars 0/2/3/5
+    (ranks 3 and 5), the double description that every blowup step runs:
+    equal to the brute oracle when it has at most 1000 subsets to try, and
+    otherwise facets by definition (nonnegative on every input, tight rows
+    of rank rank - 1) whose own double description has only input
+    directions as rays, so nothing is missing; the same in reverse order."""
+    small = large = 0
+    for s, _ in corpus_parents():
+        d = s.rank + 1
+        for ch in (0, 2, 3, 5):
+            exps = log_jacobian(s, ch).exponents
+            lifted = [g + (0,) for g in s.generators] + [e + (1,) for e in exps]
+            facets, lin = dual_rays(lifted, d)
+            assert lin == () and dual_rays(lifted[::-1], d) == (facets, ())
+            if comb(len(lifted), d - 1) <= 1000:
+                assert facets == brute_dual_rays(lifted, d)[0]
+                small += 1
+                continue
+            for f in facets:
+                assert min(dot(f, v) for v in lifted) >= 0
+                assert matrix_rank([v for v in lifted if dot(f, v) == 0]) == d - 1
+            rays, lin = dual_rays(facets, d)
+            assert lin == () and set(rays) <= set(map(primitive, lifted))
+            large += 1
+    assert small >= 500 and large >= 100
 
 
 def test_dual_rays_lineality_lattice_is_saturated_kernel():
@@ -200,6 +265,51 @@ def test_parallelepiped_points_match_fraction_oracle():
             assert points == brute_parallelepiped_points(order, d)
             assert len(points) == abs(det) - 1
         done[d, kind] += 1
+
+
+def test_simplicial_cones_match_box_oracle():
+    """Seeded simplicial cones in ranks 1-4, unimodular and not, whose
+    Hilbert basis and lineality are read off their square facet matrix:
+    the Hilbert basis is the box oracle's (the box holds the closed
+    parallelepiped of the rays, where every Hilbert basis element lies) and
+    the lineality is the kernel of the facets, which is zero."""
+    rng = random.Random(213)
+    entry = {1: 4, 2: 3, 3: 2, 4: 1}
+    limit = {1: 9, 2: 8, 3: 5, 4: 4}
+    done = {(d, unimodular): 0 for d in (1, 2, 3, 4) for unimodular in (True, False)}
+    while min(done.values()) < 4:
+        d = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-entry[d], entry[d]) for _ in range(d)) for _ in range(d)]
+        det = abs(frac_det([list(r) for r in rays]))
+        bound = max(sum(abs(r[i]) for r in rays) for i in range(d))
+        if det == 0 or bound > limit[d] or done[d, det == 1] == 4:
+            continue
+        c = Cone(d, rays)
+        assert len(c.facets) == d
+        assert c.lineality_basis() == tuple(kernel_basis(c.facets)) == ()
+        assert list(hilbert_basis(Cone(d, rays))) == brute_hilbert_basis(c.generators, d, bound)
+        done[d, det == 1] += 1
+
+
+def test_a_square_facet_matrix_with_a_line_is_not_pointed():
+    """A rank-4 cone over a square times a line has four facets, a singular
+    square facet matrix: its lineality is the line, and it has no Hilbert
+    basis."""
+    c = Cone(4, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, -1, 0, 1), (0, 0, -1, 1)])
+    assert len(c.facets) == 4 and not c.span_equations
+    assert c.lineality_basis() == ((1, 0, 0, 0),)
+    with pytest.raises(ValueError):
+        hilbert_basis(c)
+
+
+def test_hilbert_basis_rejects_a_parallelepiped_above_its_bound(monkeypatch):
+    """reeve(50)'s simplex spans a parallelepiped of 50 points: with the
+    bound set to 49 it is rejected, by name, before it is enumerated."""
+    monkeypatch.setattr(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", 49)
+    with pytest.raises(ValueError, match="MAX_PARALLELEPIPED_POINTS = 49"):
+        reeve(50)
+    monkeypatch.setattr(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", 50)
+    assert len(reeve(50).generators) == 4 + 49  # the rays and the nonzero box points
 
 
 def test_hilbert_basis_rejects_bad_cones():
