@@ -14,8 +14,8 @@ from contextlib import nullcontext
 from math import comb, gcd
 
 from . import families
-from .iterate import RunConfig, run
-from .semigroups import from_json_dict, is_smooth
+from .iterate import RunConfig, _root_chart, run
+from .semigroups import from_json_dict, invariant_key, is_smooth, isomorphic
 
 SCHEMA = "nashlab/1"
 MAX_JOBS = 64  # the most worker processes --jobs may ask for
@@ -87,7 +87,10 @@ def cmd_nash(args) -> int:
         raise CliError(f"cannot write {args.dot!r}: {e}")
     with dot:
         started = time.perf_counter()
-        tree = run(root, config, jobs=args.jobs)
+        try:
+            tree = run(root, config, jobs=args.jobs)
+        except ValueError as e:  # a chart's parallelepiped above its bound
+            raise CliError(str(e))
         elapsed = time.perf_counter() - started
         if args.dot:
             dot.write(tree.to_dot())
@@ -173,21 +176,44 @@ def _sweep_instances(args):
 
 
 def cmd_sweep(args) -> int:
-    instances = _sweep_instances(args)
-    config = _run_config(args)
-    rows = []
+    """Run each instance of a family and tabulate its verdict, depth and
+    node count.
+
+    Isomorphic charts have isomorphic futures, across instances too: the
+    runs share one ``expansions`` dict, and an instance whose root chart
+    (:func:`~nashlab.iterate._root_chart`) is verified isomorphic to an
+    earlier one takes that run's row instead of running.  Without a binding
+    node budget isomorphic roots give the same verdict, depth and nodes per
+    level; a budget makes the row depend on coordinates, so a run that it
+    stopped stores no row.
+    """
     expansions = {}  # shared: each chart class is expanded once per sweep
-    for params, s in instances:
-        tree = run(s, config, jobs=args.jobs, expansions=expansions)
-        stats = tree.stats()
-        rows.append(
-            {
-                "params": list(params),
-                "verdict": tree.verdict_summary,
-                "depth": stats["depth_reached"],
-                "nodes": stats["node_count"],
-            }
-        )
+    roots = {}  # invariant key -> (root chart, row) of a run no budget stopped
+    rows = []
+    try:
+        instances = _sweep_instances(args)
+        config = _run_config(args)
+        for params, s in instances:
+            chart, _ = _root_chart(s)  # unit rank 0: every family root is pointed
+            key = invariant_key(chart)
+            if key in roots:
+                stored, row = roots[key]
+                if isomorphic(chart, stored) is None:
+                    raise AssertionError("equal invariant keys without an isomorphism")
+            else:
+                # the run starts from this chart, with its canonical form cached
+                tree = run(chart, config, jobs=args.jobs, expansions=expansions)
+                stats = tree.stats()
+                row = {
+                    "verdict": tree.verdict_summary,
+                    "depth": stats["depth_reached"],
+                    "nodes": stats["node_count"],
+                }
+                if all(n.annotation != "node budget exhausted" for n in tree.nodes):
+                    roots[key] = chart, row
+            rows.append({"params": list(params), **row})
+    except ValueError as e:  # a parallelepiped above its bound
+        raise CliError(str(e))
     if args.format == "csv":
         import csv  # only this format needs it
         writer = csv.writer(sys.stdout, lineterminator="\n")

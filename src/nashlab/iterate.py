@@ -261,15 +261,28 @@ def _mark_closed_cycles(nodes) -> None:
         leaf.closes_cycle = leaf.id in seen
 
 
+def _root_chart(root: AffineSemigroup):
+    """``(chart, unit rank)``: the chart a run on ``root`` starts from.
+    ``root`` is taken on the lattice it generates (by :func:`canonicalize`
+    unless the Hermite form of its generators is already the identity),
+    divided by its units, and minimally presented."""
+    # canonical iff the generators span Z^rank, i.e. their Hermite form is I
+    H, _ = hermite_normal_form(root.generators)
+    if root.rank and [row for row in H if any(row)] != identity_matrix(root.rank):
+        root = canonicalize(root.generators)
+    pointed, unit_rank = unit_quotient(root)
+    return pointed.minimal_presentation(), unit_rank
+
+
 def run(
     root: AffineSemigroup,
     config: RunConfig | None = None,
     jobs: int = 1,
     expansions: dict | None = None,
 ) -> IterationTree:
-    """Iterate the (normalized) Nash blowup breadth-first from ``root``, or
-    from :func:`~nashlab.semigroups.canonicalize` of its generators if it
-    is not canonical.
+    """Iterate the (normalized) Nash blowup breadth-first from the chart
+    that :func:`_root_chart` makes of ``root``; a sweep calls that helper
+    too, to find its instances whose roots are isomorphic.
 
     Within each level, nodes are first classified in id order and only then
     expanded, in id order, while the node budget can take children.  A
@@ -298,15 +311,11 @@ def run(
     """
     if config is None:
         config = RunConfig()
-    # canonical iff the generators span Z^rank, i.e. their Hermite form is I
-    H, _ = hermite_normal_form(root.generators)
-    if root.rank and [row for row in H if any(row)] != identity_matrix(root.rank):
-        root = canonicalize(root.generators)
-    max_depth = config.max_depth if config.max_depth is not None else default_max_depth(root.rank)
+    chart, unit_rank = _root_chart(root)
+    # the rank of the lattice the root generates
+    max_depth = config.max_depth if config.max_depth is not None else default_max_depth(chart.rank + unit_rank)
 
-    pointed, unit_rank = unit_quotient(root)
-    pointed = pointed.minimal_presentation()
-    nodes = [IterationNode(id=0, semigroup=pointed, parent=None, depth=0, unit_rank=unit_rank)]
+    nodes = [IterationNode(id=0, semigroup=chart, parent=None, depth=0, unit_rank=unit_rank)]
     level = [0]
     classes = {}  # invariant_key -> id of the class representative
     step = (config.characteristic, config.normalized)

@@ -215,8 +215,11 @@ class AffineSemigroup:
 
     def minimal_presentation(self):
         """The same semigroup, generated by :meth:`minimal_generators`; it
-        shares this cone (pointed case)."""
-        return self._presented_by(self.minimal_generators())
+        shares this cone and, since both fix it, a cached canonical form
+        (pointed case)."""
+        out = self._presented_by(self.minimal_generators())
+        out._key = self._key
+        return out
 
     def saturation(self):
         """The saturation cone ∩ Z^rank, generated by its Hilbert basis; it

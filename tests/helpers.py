@@ -299,6 +299,11 @@ def rand_unimodular(rng, d, steps=12):
     return m
 
 
+def stopped_by_the_budget(tree):
+    """Whether the node budget stopped some chart of a run's tree."""
+    return any(n.annotation == "node budget exhausted" for n in tree.nodes)
+
+
 def apply_matrix(m, v):
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 

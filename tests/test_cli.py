@@ -12,8 +12,12 @@ import nashlab.cli
 import nashlab.cones
 import nashlab.intlinalg
 import nashlab.iterate
-from nashlab.cli import main
+from nashlab.cli import _run_config, _sweep_instances, build_parser, main
 from nashlab.cones import Cone
+from nashlab.iterate import _root_chart, run
+from nashlab.semigroups import invariant_key
+
+from .helpers import stopped_by_the_budget
 
 
 def run_cli(args, capsys):
@@ -88,12 +92,16 @@ def test_describe_saturate_counts_hilbert_basis(capsys):
 
 def test_a_parallelepiped_above_its_bound_is_a_one_line_error(monkeypatch, capsys):
     """reeve(50)'s simplex spans a parallelepiped of 50 points; with the
-    bound set to 49, saturating it in ``describe --saturate`` or building
-    the ``example:reeve:50`` preset exits 1 with the bound's name."""
+    bound set to 49, saturating it in ``describe --saturate``, building the
+    ``example:reeve:50`` preset or the ``reeve --q-max 50`` sweep, or a
+    normalized run that saturates its first chart exits 1 with the bound's
+    name."""
     monkeypatch.setattr(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", 49)
     gens = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 50, 1], [1, 1, 1, 2]]  # they span Z^4
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"generators": gens})))
-    for argv in (["describe", "-", "--saturate"], ["nash", "example:reeve:50"]):
+    for argv in (["describe", "-", "--saturate"], ["nash", "example:reeve:50"],
+                 ["nash", "-", "--normalized", "--max-depth", "2"],
+                 ["sweep", "reeve", "--q-max", "50", "--max-depth", "1"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"generators": gens})))
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -282,6 +290,70 @@ def test_sweep_is_identical_across_jobs(capsys):
     assert code == 0
     _, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
     assert out1 == out2
+
+
+def _root_class(s):
+    """The invariant key of the chart a run on ``s`` starts from; keys are
+    equal exactly on isomorphism classes."""
+    return invariant_key(_root_chart(s)[0])
+
+
+@pytest.mark.parametrize("argv, stopped", [
+    (("cyclic_quotient", "--b-max", "12"), 0),
+    (("cyclic_quotient", "--b-max", "12", "--normalized"), 0),
+    (("rebassoo", "--max-entry", "3"), 0),
+    (("numerical", "--count", "5"), 0),
+    (("cyclic_quotient", "--b-max", "12", "--max-nodes", "6"), 22),
+    (("cyclic_quotient", "--b-max", "12", "--normalized", "--max-nodes", "4"), 34),
+])
+def test_sweep_rows_equal_independent_runs(argv, stopped, monkeypatch, capsys):
+    """Each row of a sweep is that of its instance run alone, with a fresh
+    ``expansions``; and the sweep calls ``run`` once per root class, plus
+    once more for each instance whose class has no run that the node
+    budget did not stop (such a row depends on coordinates)."""
+    args = build_parser().parse_args(["sweep", *argv])
+    instances, config = _sweep_instances(args), _run_config(args)
+    trees = [run(s, config) for _, s in instances]
+    expected = [{"params": list(params), "verdict": t.verdict_summary,
+                 "depth": t.stats()["depth_reached"], "nodes": len(t.nodes)}
+                for (params, _), t in zip(instances, trees)]
+    assert sum(map(stopped_by_the_budget, trees)) == stopped
+    stored, runs = set(), 0
+    for (_, s), tree in zip(instances, trees):
+        key = _root_class(s)
+        if key not in stored:
+            runs += 1
+            if not stopped_by_the_budget(tree):
+                stored.add(key)
+    if not stopped:
+        assert runs == len({_root_class(s) for _, s in instances})
+    if argv[0] == "cyclic_quotient":
+        # X(a, b) and X(a', b) are isomorphic iff a' = a or a·a' = 1 mod b
+        orbits = {(min(a, pow(a, -1, b)), b) for (a, b), _ in instances}
+        assert len({_root_class(s) for _, s in instances}) == len(orbits) < len(instances)
+
+    calls = []
+    real_run = nashlab.cli.run
+
+    def counted(*a, **k):
+        calls.append(a[0])
+        return real_run(*a, **k)
+
+    monkeypatch.setattr(nashlab.cli, "run", counted)
+    code, out, _ = run_cli(["sweep", *argv], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"] == expected
+    assert len(calls) == runs
+
+
+def test_a_root_key_hit_without_an_isomorphism_fails_loudly(monkeypatch, capsys):
+    """cyclic_quotient(3, 5) is cyclic_quotient(2, 5) with the axes swapped,
+    so its root hits the other's key; an ``isomorphic`` that finds no map
+    there must stop the sweep, not reuse the row."""
+    monkeypatch.setattr(nashlab.cli, "isomorphic", lambda a, b: None)
+    with pytest.raises(AssertionError, match="equal invariant keys without an isomorphism"):
+        main(["sweep", "cyclic_quotient", "--b-max", "5"])
+    capsys.readouterr()
 
 
 def test_pretty_flag_indents(capsys):

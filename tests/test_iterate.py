@@ -6,6 +6,7 @@ import multiprocessing
 import pickle
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -33,7 +34,7 @@ from nashlab.iterate import (
 )
 from nashlab.semigroups import AffineSemigroup, IsoCertificate, canonicalize
 
-from .helpers import apply_matrix, chart_corpus, rand_unimodular, scramble
+from .helpers import apply_matrix, chart_corpus, rand_unimodular, scramble, stopped_by_the_budget
 
 
 def test_run_config_validation():
@@ -263,6 +264,36 @@ def test_verdicts_and_stats_do_not_depend_on_coordinates():
             moved = run(canonicalize(gens), cfg)
             assert moved.verdict_summary == tree.verdict_summary, (s.generators, cfg)
             assert moved.stats() == tree.stats(), (s.generators, cfg)
+
+
+REUSE_RUNS = [(cyclic_quotient(a, b), RunConfig(normalized=True))
+              for b in range(2, 10) for a in range(1, b) if gcd(a, b) == 1]
+REUSE_RUNS += [(rebassoo(3, 1, 2), RunConfig())]
+REUSE_RUNS += [(reeve(q), RunConfig(characteristic=ch, max_depth=3)) for q in (2, 3) for ch in (0, 3)]
+
+
+def _row(tree):
+    stats = tree.stats()
+    return tree.verdict_summary, stats["depth_reached"], tuple(stats["nodes_per_level"])
+
+
+def test_isomorphic_roots_give_one_row_unless_the_node_budget_stops_them():
+    """A sweep reuses the row of an isomorphic root's run: when no node
+    budget stops the run, each level expands one node per new class, in
+    any id order, so the verdict, depth and nodes per level do not depend
+    on coordinates.  When the budget binds they do: ``cdll`` at depth 3
+    with 40 nodes stops at depth 2 or 3 with 36 to 39 nodes, so such a row
+    must not be reused."""
+    rng = random.Random(2301)
+    for s, cfg in REUSE_RUNS:
+        trees = [run(s, cfg)] + [run(scramble(s, rng), cfg) for _ in range(3)]
+        assert not any(map(stopped_by_the_budget, trees)), s.generators
+        assert len(set(map(_row, trees))) == 1, s.generators
+    cdll, cfg = counterexample_x(), RunConfig(max_depth=3, max_nodes=40)
+    trees = [run(cdll, cfg)] + [run(scramble(cdll, rng), cfg) for _ in range(5)]
+    assert all(map(stopped_by_the_budget, trees))
+    assert len({_row(t) for t in trees}) > 1
+    assert {t.verdict_summary for t in trees} == {"CounterexampleCycle"}
 
 
 def test_redundant_generators_change_nothing():
