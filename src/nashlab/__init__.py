@@ -42,7 +42,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_rational,
 )
-from .iterate import IterationNode, IterationTree, RunConfig, run
+from .iterate import IterationNode, IterationTree, RunConfig, run, sweep
 from .semigroups import (
     AffineSemigroup,
     IsoCertificate,
@@ -97,6 +97,7 @@ __all__ = [
     "smith_normal_form",
     "solve_rational",
     "step_charts",
+    "sweep",
     "to_json_dict",
     "unit_quotient",
     "validate_characteristic",

@@ -2,20 +2,22 @@
 blowup iteration or a family sweep, and emit machine-readable reports.
 
 Exit codes for ``nash``: 0 = Resolved, 2 = CounterexampleCycle,
-3 = Inconclusive, 1 = bad input.
+3 = Inconclusive, 1 = bad input: :func:`main` prints any ``ValueError``,
+from the arguments, the input or the library, as one ``error:`` line.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
 from math import comb, gcd
 
 from . import families
-from .iterate import RunConfig, _root_chart, run
-from .semigroups import from_json_dict, invariant_key, is_smooth, isomorphic
+from .iterate import RunConfig, run, sweep
+from .semigroups import from_json_dict, is_smooth
 
 SCHEMA = "nashlab/1"
 MAX_JOBS = 64  # the most worker processes --jobs may ask for
@@ -23,7 +25,7 @@ MAX_JOBS = 64  # the most worker processes --jobs may ask for
 _EXIT_BY_VERDICT = {"Resolved": 0, "CounterexampleCycle": 2, "Inconclusive": 3}
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input or usage problem; maps to exit code 1."""
 
 
@@ -35,10 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_input(text: str):
     """A preset (``example:NAME``), a JSON file path, or ``-`` for stdin."""
     if text.startswith("example:"):
-        try:
-            return families.from_preset(text[len("example:"):])
-        except ValueError as e:
-            raise CliError(str(e))
+        return families.from_preset(text[len("example:"):])
     if text == "-":
         raw = sys.stdin.read()
         label = "<stdin>"
@@ -67,15 +66,8 @@ def _emit(doc, pretty: bool) -> None:
 
 
 def _run_config(args) -> RunConfig:
-    try:
-        return RunConfig(
-            characteristic=args.char,
-            normalized=args.normalized,
-            max_depth=args.max_depth,
-            max_nodes=args.max_nodes,
-        )
-    except ValueError as e:
-        raise CliError(str(e))
+    return RunConfig(characteristic=args.char, normalized=args.normalized,
+                     max_depth=args.max_depth, max_nodes=args.max_nodes)
 
 
 def cmd_nash(args) -> int:
@@ -89,8 +81,11 @@ def cmd_nash(args) -> int:
         started = time.perf_counter()
         try:
             tree = run(root, config, jobs=args.jobs)
-        except ValueError as e:  # a chart's parallelepiped above its bound
-            raise CliError(str(e))
+        except BaseException:
+            if args.dot:  # a failed run leaves no file
+                dot.close()
+                os.remove(args.dot)
+            raise
         elapsed = time.perf_counter() - started
         if args.dot:
             dot.write(tree.to_dot())
@@ -121,10 +116,7 @@ def cmd_describe(args) -> int:
     if args.saturate:
         if not s.is_pointed:
             raise CliError("--saturate requires a pointed semigroup")
-        try:
-            doc["hilbert_basis"] = [list(g) for g in s.saturation().generators]
-        except ValueError as e:  # a parallelepiped above its bound
-            raise CliError(str(e))
+        doc["hilbert_basis"] = [list(g) for g in s.saturation().generators]
     _emit(doc, args.pretty)
     return 0
 
@@ -176,44 +168,12 @@ def _sweep_instances(args):
 
 
 def cmd_sweep(args) -> int:
-    """Run each instance of a family and tabulate its verdict, depth and
-    node count.
-
-    Isomorphic charts have isomorphic futures, across instances too: the
-    runs share one ``expansions`` dict, and an instance whose root chart
-    (:func:`~nashlab.iterate._root_chart`) is verified isomorphic to an
-    earlier one takes that run's row instead of running.  Without a binding
-    node budget isomorphic roots give the same verdict, depth and nodes per
-    level; a budget makes the row depend on coordinates, so a run that it
-    stopped stores no row.
-    """
-    expansions = {}  # shared: each chart class is expanded once per sweep
-    roots = {}  # invariant key -> (root chart, row) of a run no budget stopped
-    rows = []
-    try:
-        instances = _sweep_instances(args)
-        config = _run_config(args)
-        for params, s in instances:
-            chart, _ = _root_chart(s)  # unit rank 0: every family root is pointed
-            key = invariant_key(chart)
-            if key in roots:
-                stored, row = roots[key]
-                if isomorphic(chart, stored) is None:
-                    raise AssertionError("equal invariant keys without an isomorphism")
-            else:
-                # the run starts from this chart, with its canonical form cached
-                tree = run(chart, config, jobs=args.jobs, expansions=expansions)
-                stats = tree.stats()
-                row = {
-                    "verdict": tree.verdict_summary,
-                    "depth": stats["depth_reached"],
-                    "nodes": stats["node_count"],
-                }
-                if all(n.annotation != "node budget exhausted" for n in tree.nodes):
-                    roots[key] = chart, row
-            rows.append({"params": list(params), **row})
-    except ValueError as e:  # a parallelepiped above its bound
-        raise CliError(str(e))
+    """Tabulate :func:`~nashlab.iterate.sweep` of a family's instances:
+    the verdict, depth and node count of each."""
+    instances = _sweep_instances(args)
+    config = _run_config(args)
+    rows = sweep([s for _, s in instances], config, args.jobs)
+    rows = [{"params": list(params), **row} for (params, _), row in zip(instances, rows)]
     if args.format == "csv":
         import csv  # only this format needs it
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -226,12 +186,7 @@ def cmd_sweep(args) -> int:
                 "schema": SCHEMA,
                 "command": "sweep",
                 "family": args.family,
-                "config": {
-                    "characteristic": config.characteristic,
-                    "normalized": config.normalized,
-                    "max_depth": config.max_depth,
-                    "max_nodes": config.max_nodes,
-                },
+                "config": config.to_json_dict(config.max_depth),
                 "rows": rows,
             },
             args.pretty,
@@ -292,7 +247,7 @@ def main(argv=None) -> int:
         if not 1 <= getattr(args, "jobs", 1) <= MAX_JOBS:
             raise CliError(f"--jobs must be between 1 and MAX_JOBS = {MAX_JOBS}")
         return args.func(args)
-    except CliError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

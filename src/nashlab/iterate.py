@@ -76,6 +76,15 @@ class RunConfig:
         self.max_depth = max_depth
         self.max_nodes = max_nodes
 
+    def to_json_dict(self, max_depth) -> dict:
+        """The ``config`` block of a report, with the depth cap ``max_depth``."""
+        return {
+            "characteristic": self.characteristic,
+            "normalized": self.normalized,
+            "max_depth": max_depth,
+            "max_nodes": self.max_nodes,
+        }
+
 
 class IterationNode:
     """One chart of the tree: its place, and its leaf verdict once classified."""
@@ -132,12 +141,7 @@ class IterationTree:
 
     def to_json_dict(self, full: bool = False) -> dict:
         out = {
-            "config": {
-                "characteristic": self.config.characteristic,
-                "normalized": self.config.normalized,
-                "max_depth": self.max_depth,
-                "max_nodes": self.config.max_nodes,
-            },
+            "config": self.config.to_json_dict(self.max_depth),
             "verdict": self.verdict_summary,
             "stats": self.stats(),
         }
@@ -281,8 +285,8 @@ def run(
     expansions: dict | None = None,
 ) -> IterationTree:
     """Iterate the (normalized) Nash blowup breadth-first from the chart
-    that :func:`_root_chart` makes of ``root``; a sweep calls that helper
-    too, to find its instances whose roots are isomorphic.
+    that :func:`_root_chart` makes of ``root``; :func:`sweep` calls that
+    helper too, and owns the rule by which isomorphic roots share one row.
 
     Within each level, nodes are first classified in id order and only then
     expanded, in id order, while the node budget can take children.  A
@@ -296,12 +300,13 @@ def run(
     class's stored expansion; pass one dict to several runs to share them.
     Only a chart whose key is missing is expanded and stored; any other
     gets the stored children carried through a verified isomorphism from
-    the stored representative.  With ``jobs > 1`` all fresh expansions of a
-    level run first, in a pool of at most ``jobs`` processes, never more
-    than the level has fresh expansions: started at the first level that
-    has one, kept while it is large enough, and replaced by a larger one at
-    a level with more fresh expansions than workers; a run with none starts
-    no pool.  A worker takes and returns plain data, a stored expansion,
+    the stored representative.  With ``jobs > 1`` a level first maps its
+    fresh expansions, the first in id order up to the room left in the tree
+    (a step has at least one chart), to a pool of at most ``jobs``
+    processes, never more than it maps: started at the first level that
+    maps one, kept while it is large enough, and replaced by a larger one
+    at a level that maps more than it has workers; a run that maps none
+    starts no pool.  A worker takes and returns plain data, a stored expansion,
     whose children the run then carries like any other (by the identity
     map).  Only a run with ``jobs > 1`` imports :mod:`multiprocessing`, by
     looking up this module's ``multiprocessing`` (a replacement set there
@@ -350,6 +355,7 @@ def run(
                 expandable[nid] = (*step, key)
 
             fresh = [nodes[nid] for nid, key in expandable.items() if key not in expansions] if jobs > 1 else []
+            del fresh[config.max_nodes - len(nodes):]  # a step has at least one chart
             if fresh:
                 want = min(jobs, len(fresh))
                 if pool is not None and size < want:
@@ -403,3 +409,38 @@ def run(
                 raise AssertionError("stored cycle certificate failed re-verification")
     _mark_closed_cycles(nodes)
     return IterationTree(nodes, config, max_depth)
+
+
+def sweep(roots, config: RunConfig | None = None, jobs: int = 1) -> list:
+    """``{"verdict", "depth", "nodes"}`` of :func:`run` on each of
+    ``roots``, in order; this is the one place that decides when a root
+    needs no run of its own.
+
+    Isomorphic charts have isomorphic futures, across roots too: the runs
+    share one ``expansions`` dict, and a root with an earlier root's unit
+    rank and a chart (:func:`_root_chart`) verified isomorphic to that
+    root's takes that run's row instead of running.  Without a binding node
+    budget isomorphic roots give the same verdict, depth and nodes per
+    level; a budget makes the row depend on coordinates, so a run that it
+    stopped stores no row.
+    """
+    expansions = {}  # shared: each chart class is expanded once per sweep
+    done = {}  # (unit rank, invariant key) -> (root chart, row) of a run no budget stopped
+    rows = []
+    for root in roots:
+        chart, unit_rank = _root_chart(root)
+        key = unit_rank, invariant_key(chart)
+        if key in done:
+            stored, row = done[key]
+            if isomorphic(chart, stored) is None:
+                raise AssertionError("equal invariant keys without an isomorphism")
+        else:
+            # a pointed root runs from its chart, whose canonical form is cached
+            tree = run(root if unit_rank else chart, config, jobs=jobs, expansions=expansions)
+            stats = tree.stats()
+            row = {"verdict": tree.verdict_summary, "depth": stats["depth_reached"],
+                   "nodes": stats["node_count"]}
+            if all(n.annotation != "node budget exhausted" for n in tree.nodes):
+                done[key] = chart, row
+        rows.append(dict(row))
+    return rows

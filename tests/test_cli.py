@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, report schemas, error reporting,
 sweeps, DOT emission, and byte-level determinism."""
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ import nashlab.intlinalg
 import nashlab.iterate
 from nashlab.cli import _run_config, _sweep_instances, build_parser, main
 from nashlab.cones import Cone
+from nashlab.families import cyclic_quotient
 from nashlab.iterate import _root_chart, run
 from nashlab.semigroups import invariant_key
 
@@ -195,6 +198,22 @@ def test_dot_file_output(tmp_path, capsys):
     assert "lightcoral" in dot
 
 
+def test_a_failed_run_leaves_no_dot_file(tmp_path, capsys, monkeypatch):
+    """A Reeve cone of height 3000000 on Z^4 is not saturated, and the
+    parallelepiped of its normalized first chart is above
+    ``MAX_PARALLELEPIPED_POINTS``: the run fails after the DOT file was
+    opened, and the file is removed."""
+    gens = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 3000000, 1], [1, 1, 1, 2]]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"generators": gens})))
+    target = tmp_path / "tree.dot"
+    argv = ["nash", "-", "--normalized", "--max-depth", "2", "--dot", str(target)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_PARALLELEPIPED_POINTS" in err
+    assert not target.exists()
+
+
 def test_unwritable_dot_path_fails_before_the_run(tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("the run started")
@@ -333,13 +352,13 @@ def test_sweep_rows_equal_independent_runs(argv, stopped, monkeypatch, capsys):
         assert len({_root_class(s) for _, s in instances}) == len(orbits) < len(instances)
 
     calls = []
-    real_run = nashlab.cli.run
+    real_run = nashlab.iterate.run
 
     def counted(*a, **k):
         calls.append(a[0])
         return real_run(*a, **k)
 
-    monkeypatch.setattr(nashlab.cli, "run", counted)
+    monkeypatch.setattr(nashlab.iterate, "run", counted)
     code, out, _ = run_cli(["sweep", *argv], capsys)
     assert code == 0
     assert json.loads(out)["rows"] == expected
@@ -349,11 +368,62 @@ def test_sweep_rows_equal_independent_runs(argv, stopped, monkeypatch, capsys):
 def test_a_root_key_hit_without_an_isomorphism_fails_loudly(monkeypatch, capsys):
     """cyclic_quotient(3, 5) is cyclic_quotient(2, 5) with the axes swapped,
     so its root hits the other's key; an ``isomorphic`` that finds no map
-    there must stop the sweep, not reuse the row."""
-    monkeypatch.setattr(nashlab.cli, "isomorphic", lambda a, b: None)
-    with pytest.raises(AssertionError, match="equal invariant keys without an isomorphism"):
+    between those two roots must stop the sweep, not reuse the row.  Every
+    other call, the runs' own, gets the real answer, so the error comes
+    from the sweep's key check."""
+    roots = {_root_chart(cyclic_quotient(a, 5))[0].generators for a in (2, 3)}
+    real_isomorphic = nashlab.iterate.isomorphic
+
+    def no_map_between_the_roots(a, b):
+        return None if {a.generators, b.generators} == roots else real_isomorphic(a, b)
+
+    monkeypatch.setattr(nashlab.iterate, "isomorphic", no_map_between_the_roots)
+    with pytest.raises(AssertionError, match="equal invariant keys without an isomorphism") as info:
         main(["sweep", "cyclic_quotient", "--b-max", "5"])
+    assert info.traceback[-1].name == "sweep"
     capsys.readouterr()
+
+
+def test_every_value_error_is_one_error_line_and_an_assertion_propagates(monkeypatch, capsys):
+    """``main`` alone turns a ``ValueError`` into one ``error:`` line and
+    exit 1, whether the CLI, a preset or the library raises it; an
+    ``AssertionError``, a failed internal check, is not caught."""
+    for argv, message in ((["sweep", "cyclic_quotient", "--b-max", "1"], "--b-max must be at least 2"),
+                          (["nash", "example:nosuch"], "nosuch"),
+                          (["nash", "example:a1", "--max-nodes", "0"], "max_nodes")):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def raising(error):
+        def fail(*args, **kwargs):
+            raise error
+        return fail
+
+    monkeypatch.setattr(nashlab.cli, "run", raising(ValueError("from the library")))
+    assert run_cli(["nash", "example:a1"], capsys) == (1, "", "error: from the library\n")
+    monkeypatch.setattr(nashlab.cli, "run", raising(AssertionError("a failed check")))
+    with pytest.raises(AssertionError, match="a failed check"):
+        main(["nash", "example:a1"])
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    """``cli`` uses the library through its public names only: no
+    ``_``-prefixed name is imported from another ``nashlab`` module, or
+    looked up on a module that ``cli`` imports from the package."""
+    tree = ast.parse(Path(nashlab.cli.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nashlab")):
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, f"cli imports {private} from {node.module}"
+            if node.module in (None, "nashlab"):
+                modules.update(a.asname or a.name for a in node.names)
+    assert "families" in modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert not (node.value.id in modules and node.attr.startswith("_")), node.attr
 
 
 def test_pretty_flag_indents(capsys):

@@ -31,6 +31,7 @@ from nashlab.iterate import (
     _mark_closed_cycles,
     default_max_depth,
     run,
+    sweep,
 )
 from nashlab.semigroups import AffineSemigroup, IsoCertificate, canonicalize
 
@@ -296,6 +297,21 @@ def test_isomorphic_roots_give_one_row_unless_the_node_budget_stops_them():
     assert {t.verdict_summary for t in trees} == {"CounterexampleCycle"}
 
 
+def test_a_root_with_units_gets_its_own_row():
+    """The default depth counts a root's units: the monomial curve
+    t^2, t^23 resolves at depth 11, while times the torus (C*)^3 its chart
+    is the same curve's but the rank-4 default depth of 10 stops it.  So a
+    sweep gives it its own run, not the curve's row."""
+    curve = numerical([2, 23])
+    axes = [tuple(int(i == j) for j in range(4)) for i in (1, 2, 3)]
+    gens = [(g[0], 0, 0, 0) for g in curve.generators] + axes + [tuple(-x for x in v) for v in axes]
+    roots = [curve, AffineSemigroup(4, gens)]
+    rows = sweep(roots)
+    assert [(r["verdict"], r["depth"]) for r in rows] == [("Resolved", 11), ("Inconclusive", 10)]
+    assert rows == [{"verdict": t.verdict_summary, "depth": t.stats()["depth_reached"],
+                     "nodes": len(t.nodes)} for t in map(run, roots)]
+
+
 def test_redundant_generators_change_nothing():
     """Adding sums of two generators presents the same semigroup, so the
     minimal generators, the verdict and the stats stay the same."""
@@ -354,13 +370,15 @@ def test_a_root_runs_on_the_lattice_it_generates():
             assert moved_tree.stats() == tree.stats(), (s, cfg, index)
 
 
-def test_charts_stopped_by_the_node_budget_are_not_expanded(monkeypatch):
+def test_charts_stopped_by_the_node_budget_are_not_expanded(monkeypatch, recorder):
     """reeve(4) in characteristic 3 with 300 nodes: 31 charts are stopped
     by the node budget and 42 get children.  At ``jobs=1`` a chart is
     expanded only when the tree can take children, so once the tree is
     full no chart is expanded; the two charts stopped before then, whose
     children would overflow the budget, cost one expansion each.  The
-    report is the ``jobs=2`` one, whose pool expands a level at once."""
+    report is the ``jobs=2`` one, whose pool maps no more of a level's
+    fresh charts than the tree has room for nodes when the level starts:
+    48 tasks, where mapping every fresh chart took 73."""
     cfg = RunConfig(characteristic=3, max_nodes=300)
     calls = []
     step = nashlab.iterate.step_charts
@@ -378,7 +396,19 @@ def test_charts_stopped_by_the_node_budget_are_not_expanded(monkeypatch):
     assert len(calls) == len(expanded) == 44
     assert [n.id for n in tree.nodes if id(n.semigroup) in expanded] == sorted(parents + [152, 157])
     monkeypatch.setattr(nashlab.iterate, "step_charts", step)
+    assert not recorder.pools
     assert _report(tree) == _report(run(reeve(4), cfg, jobs=2))
+    assert len(recorder.tasks) == 48
+    # a task's chart is a class representative, expanded or stopped by the budget
+    depth_of = {n.semigroup.generators: n.depth for n in tree.nodes
+                if n.children or n.annotation == "node budget exhausted"}
+    tasks = iter(recorder.tasks)
+    for _, maps in recorder.pools:
+        for count in maps:
+            depths = {depth_of[task[1]] for _, task in zip(range(count), tasks)}
+            assert len(depths) == 1
+            depth = depths.pop()
+            assert count <= cfg.max_nodes - sum(n.depth <= depth for n in tree.nodes)
 
 
 def test_roots_are_reported_identically_across_runs_and_jobs():
