@@ -2,17 +2,19 @@
 blowup iteration or a family sweep, and emit machine-readable reports.
 
 Exit codes for ``nash``: 0 = Resolved, 2 = CounterexampleCycle,
-3 = Inconclusive, 1 = bad input: :func:`main` prints any ``ValueError``,
-from the arguments, the input or the library, as one ``error:`` line.
+3 = Inconclusive, 1 = error: :func:`main` prints any ``ValueError`` as
+one ``error:`` line.  That covers bad arguments and input, a bound such as
+``MAX_PARALLELEPIPED_POINTS``, and every other ``ValueError`` the library
+raises, a library bug included; other exceptions keep their traceback.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from math import comb, gcd
 
 from . import families
@@ -25,13 +27,9 @@ MAX_JOBS = 64  # the most worker processes --jobs may ask for
 _EXIT_BY_VERDICT = {"Resolved": 0, "CounterexampleCycle": 2, "Inconclusive": 3}
 
 
-class CliError(ValueError):
-    """Input or usage problem; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _load_input(text: str):
@@ -46,18 +44,18 @@ def _load_input(text: str):
             with open(text, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except (OSError, UnicodeDecodeError) as e:
-            raise CliError(f"cannot read {text!r}: {e}")
+            raise ValueError(f"cannot read {text!r}: {e}")
         label = text
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
-        raise CliError(f"{label}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}")
+        raise ValueError(f"{label}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}")
     if isinstance(doc, dict) and "schema" in doc and doc["schema"] != SCHEMA:
-        raise CliError(f"{label}: unsupported schema {doc['schema']!r} (expected {SCHEMA!r})")
+        raise ValueError(f"{label}: unsupported schema {doc['schema']!r} (expected {SCHEMA!r})")
     try:
         return from_json_dict(doc)
     except ValueError as e:
-        raise CliError(f"{label}: {e}")
+        raise ValueError(f"{label}: {e}")
 
 
 def _emit(doc, pretty: bool) -> None:
@@ -70,25 +68,31 @@ def _run_config(args) -> RunConfig:
                      max_depth=args.max_depth, max_nodes=args.max_nodes)
 
 
+def _check_writable(path: str) -> None:
+    """Raise ``ValueError`` unless ``path`` can be written; the check creates and truncates nothing."""
+    directory = os.path.dirname(path) or "."
+    try:
+        if os.path.exists(path):
+            open(path, "a", encoding="utf-8").close()
+        elif not os.access(directory, os.W_OK | os.X_OK):
+            code = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+    except OSError as e:
+        raise ValueError(f"cannot write {path!r}: {e}")
+
+
 def cmd_nash(args) -> int:
     root = _load_input(args.input)
     config = _run_config(args)
-    try:  # opened before the run, so a bad path fails before any work
-        dot = open(args.dot, "w", encoding="utf-8") if args.dot else nullcontext()
-    except OSError as e:
-        raise CliError(f"cannot write {args.dot!r}: {e}")
-    with dot:
-        started = time.perf_counter()
-        try:
-            tree = run(root, config, jobs=args.jobs)
-        except BaseException:
-            if args.dot:  # a failed run leaves no file
-                dot.close()
-                os.remove(args.dot)
-            raise
-        elapsed = time.perf_counter() - started
-        if args.dot:
-            dot.write(tree.to_dot())
+    if args.dot:  # checked before the run, so a bad path fails before any work
+        _check_writable(args.dot)
+    started = time.perf_counter()
+    tree = run(root, config, jobs=args.jobs)
+    elapsed = time.perf_counter() - started
+    if args.dot:  # written only after the run: a failed run leaves the path as it was
+        dot = tree.to_dot()
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(dot)
     report = {
         "schema": SCHEMA,
         "command": "nash",
@@ -115,7 +119,7 @@ def cmd_describe(args) -> int:
     )
     if args.saturate:
         if not s.is_pointed:
-            raise CliError("--saturate requires a pointed semigroup")
+            raise ValueError("--saturate requires a pointed semigroup")
         doc["hilbert_basis"] = [list(g) for g in s.saturation().generators]
     _emit(doc, args.pretty)
     return 0
@@ -127,14 +131,14 @@ def _sweep_instances(args):
     rows = []
     if fam == "cyclic_quotient":
         if args.b_max < 2:
-            raise CliError("--b-max must be at least 2")
+            raise ValueError("--b-max must be at least 2")
         for b in range(2, args.b_max + 1):
             for a in range(1, b):
                 if gcd(a, b) == 1:
                     rows.append(((a, b), families.cyclic_quotient(a, b)))
     elif fam == "rebassoo":
         if args.max_entry < 1:
-            raise CliError("--max-entry must be at least 1")
+            raise ValueError("--max-entry must be at least 1")
         m = args.max_entry
         for p in range(1, m + 1):
             for q in range(1, m + 1):
@@ -143,17 +147,17 @@ def _sweep_instances(args):
                         rows.append(((p, q, r), families.rebassoo(p, q, r)))
     elif fam == "reeve":
         if args.q_max < 1:
-            raise CliError("--q-max must be at least 1")
+            raise ValueError("--q-max must be at least 1")
         for q in range(1, args.q_max + 1):
             rows.append(((q,), families.reeve(q)))
     elif fam == "numerical":
         if args.count < 1 or args.gen_max < 3:
-            raise CliError("--count must be >= 1 and --gen-max >= 3")
+            raise ValueError("--count must be >= 1 and --gen-max >= 3")
         pool = range(2, args.gen_max + 1)
         k_max = min(4, len(pool))
         available = sum(comb(len(pool), k) for k in range(2, k_max + 1))
         if args.count > available:
-            raise CliError(f"--count {args.count} exceeds the {available} distinct generator "
+            raise ValueError(f"--count {args.count} exceeds the {available} distinct generator "
                            f"sets of 2 to {k_max} integers in [2, {args.gen_max}]")
         import random  # only this family draws its instances
         rng = random.Random(args.seed)
@@ -245,7 +249,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if not 1 <= getattr(args, "jobs", 1) <= MAX_JOBS:
-            raise CliError(f"--jobs must be between 1 and MAX_JOBS = {MAX_JOBS}")
+            raise ValueError(f"--jobs must be between 1 and MAX_JOBS = {MAX_JOBS}")
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

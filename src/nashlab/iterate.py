@@ -78,12 +78,8 @@ class RunConfig:
 
     def to_json_dict(self, max_depth) -> dict:
         """The ``config`` block of a report, with the depth cap ``max_depth``."""
-        return {
-            "characteristic": self.characteristic,
-            "normalized": self.normalized,
-            "max_depth": max_depth,
-            "max_nodes": self.max_nodes,
-        }
+        return {"characteristic": self.characteristic, "normalized": self.normalized,
+                "max_depth": max_depth, "max_nodes": self.max_nodes}
 
 
 class IterationNode:
@@ -412,31 +408,32 @@ def run(
 
 
 def sweep(roots, config: RunConfig | None = None, jobs: int = 1) -> list:
-    """``{"verdict", "depth", "nodes"}`` of :func:`run` on each of
-    ``roots``, in order; this is the one place that decides when a root
+    """``{"verdict", "depth", "nodes"}`` of :func:`run` on each of the
+    pointed ``roots``, in order; the one place that decides when a root
     needs no run of its own.
 
     Isomorphic charts have isomorphic futures, across roots too: the runs
-    share one ``expansions`` dict, and a root with an earlier root's unit
-    rank and a chart (:func:`_root_chart`) verified isomorphic to that
-    root's takes that run's row instead of running.  Without a binding node
-    budget isomorphic roots give the same verdict, depth and nodes per
-    level; a budget makes the row depend on coordinates, so a run that it
-    stopped stores no row.
+    share one ``expansions`` dict, and a root whose chart (:func:`_root_chart`)
+    is verified isomorphic to an earlier root's takes that run's row instead
+    of running.  Without a binding node budget isomorphic roots give the
+    same verdict, depth and nodes per level; a budget makes the row depend
+    on coordinates, so a run that it stopped stores no row.
     """
     expansions = {}  # shared: each chart class is expanded once per sweep
-    done = {}  # (unit rank, invariant key) -> (root chart, row) of a run no budget stopped
+    done = {}  # invariant key -> (root chart, row) of a run no budget stopped
     rows = []
     for root in roots:
         chart, unit_rank = _root_chart(root)
-        key = unit_rank, invariant_key(chart)
+        if unit_rank:  # the default depth counts units, which the chart drops
+            raise ValueError("sweep takes pointed roots")
+        key = invariant_key(chart)
         if key in done:
             stored, row = done[key]
             if isomorphic(chart, stored) is None:
                 raise AssertionError("equal invariant keys without an isomorphism")
         else:
-            # a pointed root runs from its chart, whose canonical form is cached
-            tree = run(root if unit_rank else chart, config, jobs=jobs, expansions=expansions)
+            # the run starts from this chart, with its canonical form cached
+            tree = run(chart, config, jobs=jobs, expansions=expansions)
             stats = tree.stats()
             row = {"verdict": tree.verdict_summary, "depth": stats["depth_reached"],
                    "nodes": stats["node_count"]}

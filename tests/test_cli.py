@@ -198,20 +198,27 @@ def test_dot_file_output(tmp_path, capsys):
     assert "lightcoral" in dot
 
 
-def test_a_failed_run_leaves_no_dot_file(tmp_path, capsys, monkeypatch):
+def test_a_failed_run_leaves_the_dot_path_as_it_was(tmp_path, capsys, monkeypatch):
     """A Reeve cone of height 3000000 on Z^4 is not saturated, and the
     parallelepiped of its normalized first chart is above
-    ``MAX_PARALLELEPIPED_POINTS``: the run fails after the DOT file was
-    opened, and the file is removed."""
+    ``MAX_PARALLELEPIPED_POINTS``: the run fails after the DOT path was
+    checked.  A missing path stays missing, and a file or a symlink there
+    stays as it was."""
     gens = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 3000000, 1], [1, 1, 1, 2]]
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"generators": gens})))
-    target = tmp_path / "tree.dot"
-    argv = ["nash", "-", "--normalized", "--max-depth", "2", "--dot", str(target)]
-    code, out, err = run_cli(argv, capsys)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "MAX_PARALLELEPIPED_POINTS" in err
-    assert not target.exists()
+    kept = tmp_path / "kept.dot"
+    kept.write_text("digraph kept {}\n")
+    link = tmp_path / "link.dot"
+    link.symlink_to(kept)
+    missing = tmp_path / "tree.dot"
+    for target in (missing, kept, link):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"generators": gens})))
+        argv = ["nash", "-", "--normalized", "--max-depth", "2", "--dot", str(target)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "MAX_PARALLELEPIPED_POINTS" in err
+    assert not missing.exists()
+    assert link.is_symlink() and kept.read_text() == "digraph kept {}\n"
 
 
 def test_unwritable_dot_path_fails_before_the_run(tmp_path, capsys, monkeypatch):

@@ -297,19 +297,17 @@ def test_isomorphic_roots_give_one_row_unless_the_node_budget_stops_them():
     assert {t.verdict_summary for t in trees} == {"CounterexampleCycle"}
 
 
-def test_a_root_with_units_gets_its_own_row():
-    """The default depth counts a root's units: the monomial curve
-    t^2, t^23 resolves at depth 11, while times the torus (C*)^3 its chart
-    is the same curve's but the rank-4 default depth of 10 stops it.  So a
-    sweep gives it its own run, not the curve's row."""
+def test_sweep_rejects_a_root_with_units():
+    """The default depth counts a root's units, which its chart drops: the
+    monomial curve t^2, t^23 resolves at depth 11, while times the torus
+    (C*)^3 the rank-4 default depth of 10 stops it.  So a sweep, which runs
+    charts, takes only pointed roots."""
     curve = numerical([2, 23])
     axes = [tuple(int(i == j) for j in range(4)) for i in (1, 2, 3)]
     gens = [(g[0], 0, 0, 0) for g in curve.generators] + axes + [tuple(-x for x in v) for v in axes]
-    roots = [curve, AffineSemigroup(4, gens)]
-    rows = sweep(roots)
-    assert [(r["verdict"], r["depth"]) for r in rows] == [("Resolved", 11), ("Inconclusive", 10)]
-    assert rows == [{"verdict": t.verdict_summary, "depth": t.stats()["depth_reached"],
-                     "nodes": len(t.nodes)} for t in map(run, roots)]
+    assert [r["depth"] for r in sweep([curve])] == [11]
+    with pytest.raises(ValueError, match="pointed"):
+        sweep([curve, AffineSemigroup(4, gens)])
 
 
 def test_redundant_generators_change_nothing():
