@@ -50,10 +50,14 @@ def identity_matrix(n):
 
 
 def determinant(m) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix: ``ad - bc`` for a
+    2 × 2 one, fraction-free Bareiss for any other size."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
     if n == 0:
         return 1
     a = [list(row) for row in m]
@@ -273,13 +277,23 @@ def adjugate(m):
     """Integer ``(adj, det)`` with ``m * adj = adj * m = det * I`` and
     ``det = |det(m)| > 0``; raises ``ValueError`` on a singular matrix.
 
-    Fraction-free Gauss-Jordan (Bareiss) on ``[m | I]``: every division is
-    exact, the left block ends as ``p * I`` with ``p = ±det(m)`` and the
-    right block as ``p * m^-1``; both are multiplied by the sign of ``p``.
+    A 2 × 2 matrix takes the closed form ``[[d, -b], [-c, a]]``, negated
+    when ``ad - bc < 0``.  Any other size runs fraction-free Gauss-Jordan
+    (Bareiss) on ``[m | I]``: every division is exact, the left block ends
+    as ``p * I`` with ``p = ±det(m)`` and the right block as ``p * m^-1``;
+    both are multiplied by the sign of ``p``.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("adjugate needs a square matrix")
+    if n == 2:
+        (a, b), (c, d) = m
+        det = a * d - b * c
+        if not det:
+            raise ValueError("matrix is singular")
+        if det < 0:
+            a, b, c, d, det = -a, -b, -c, -d, -det
+        return [[d, -b], [-c, a]], det
     a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
     prev = 1
     for k in range(n):

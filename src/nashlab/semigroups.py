@@ -370,6 +370,9 @@ def _least_form(S):
     Row colours start from each row's sorted entries and are refined until
     no class splits: a column is coloured by its multiset of (row colour,
     entry), a row by its colour and its multiset of (column colour, entry).
+    A round keys each row by its old colour first, so it refines the ordered
+    partition; one that adds no class leaves it as it was, and a discrete
+    colouring is not refined at all.
     Each row of the first tied class is then tried as a singleton.  A leaf
     orders the rows by colour.  A leaf equal to an earlier one gives an
     automorphism of S that maps this subtree onto an explored one, so the
@@ -378,12 +381,13 @@ def _least_form(S):
     leaves = {}  # sorted columns -> (singleton rows, column order) of the first such leaf
 
     def search(colours, fixed):
-        while True:
+        classes = len(set(colours))
+        while classes < len(colours):
             ccol = _ranks([tuple(sorted(zip(colours, col))) for col in zip(*S)])
-            refined = _ranks([(c, tuple(sorted(zip(ccol, row)))) for c, row in zip(colours, S)])
-            if refined == colours:
+            colours = _ranks([(c, tuple(sorted(zip(ccol, row)))) for c, row in zip(colours, S)])
+            if max(colours) + 1 == classes:
                 break
-            colours = refined
+            classes = max(colours) + 1
         tied = min((c for c in colours if colours.count(c) > 1), default=None)
         if tied is None:
             columns = list(zip(*(row for _, row in sorted(zip(colours, S)))))

@@ -511,3 +511,37 @@ def corpus_parents():
     :func:`chart_corpus` blows up: its roots and their depth-1 charts,
     presented as their run presents them, in first-seen order."""
     return _corpus()[1]
+
+
+def least_form_by_full_refinement(S):
+    """``_least_form`` as it was before refinement stopped early: every
+    search node refines, a discrete colouring included, until a round
+    returns the very colours it was given, however many classes it added."""
+    def ranks(signatures):
+        rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        return [rank[sig] for sig in signatures]
+
+    leaves = {}
+
+    def search(colours, fixed):
+        while True:
+            ccol = ranks([tuple(sorted(zip(colours, col))) for col in zip(*S)])
+            refined = ranks([(c, tuple(sorted(zip(ccol, row)))) for c, row in zip(colours, S)])
+            if refined == colours:
+                break
+            colours = refined
+        tied = min((c for c in colours if colours.count(c) > 1), default=None)
+        if tied is None:
+            columns = list(zip(*(row for _, row in sorted(zip(colours, S)))))
+            cols = sorted(range(len(columns)), key=columns.__getitem__)
+            first = leaves.setdefault(tuple(columns[j] for j in cols), (fixed, cols))[0]
+            return next((k for k, (a, b) in enumerate(zip(first, fixed)) if a != b), len(fixed))
+        for i in [k for k, c in enumerate(colours) if c == tied]:
+            split = [2 * c + (c == tied and k != i) for k, c in enumerate(colours)]
+            back = search(split, fixed + [i])
+            if back < len(fixed):
+                return back
+        return len(fixed)
+
+    search(ranks([tuple(sorted(row)) for row in S]), [])
+    return min((leaf, cols) for leaf, (_, cols) in leaves.items())

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report schemas, error reporting,
 sweeps, DOT emission, and byte-level determinism."""
 import ast
+import hashlib
 import io
 import json
 import os
@@ -306,6 +307,39 @@ def test_reports_are_deterministic_across_runs_and_jobs(capsys):
     _, out2, _ = run_cli(base + ["--jobs", "1"], capsys)
     _, out3, _ = run_cli(base + ["--jobs", "3"], capsys)
     assert _strip_timing(out1) == _strip_timing(out2) == _strip_timing(out3)
+
+
+PINNED_REPORTS = [
+    ("nash example:cdll --max-depth 2 --full-tree", 2,
+     "2161b90a0f238886c0802b025980c20208f3e8465cd68d0e33a26694708d2880"),
+    ("nash example:reeve:3 --char 3 --full-tree", 2,
+     "2874ec93a25c7c069143ad7b8915d398f1e8cef8c38d689dc630925aedf79d93"),
+    ("nash example:reeve:2 --char 5 --full-tree", 0,
+     "4b8754e0d14a15d2aa4445e2f8c3767936c3830a331ea2ac17118015afd2872e"),
+    ("nash example:cyclic_quotient:5,13 --normalized --full-tree", 0,
+     "cdd5a4505b410a2ef516e3427121996597dbce99922796a61fa86b7ecb67f83b"),
+    ("nash example:rebassoo:3,1,2", 0,
+     "c7d1ebcaa1247727a27269a0d543ca661357f12e145af68fbe927aac1f76e1f7"),
+    ("nash example:numerical:4,6,7 --char 2", 2,
+     "0f41dea6f940caaddd19eb4b90c82cdcfcf21febe24eadf387f64f59579a3b35"),
+    ("sweep cyclic_quotient --b-max 12 --normalized", 0,
+     "c6dfc76940836337e9a9cdc4b966f3627e869d8e0ac509a3dceeb5ad9dc1bc72"),
+    ("sweep rebassoo --max-entry 3", 0,
+     "e6ff79bd9e2d2d4378ce68f86236a8aeb41ea63ef5e975c3658fef728ca14e00"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, exit_code, digest", PINNED_REPORTS, ids=["-".join(c.split()[:2]) for c, _, _ in PINNED_REPORTS]
+)
+def test_reports_match_their_pinned_digests(command, exit_code, digest, capsys):
+    """Exit code and sha256 of the report minus ``timing_seconds``, recorded
+    before the 2 × 2 closed forms and the early stop of ``_least_form``'s
+    refinement: a kernel change that keeps every value, key and generator
+    order keeps them byte for byte, certificates and full trees included."""
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == exit_code
+    assert hashlib.sha256(_strip_timing(out).encode()).hexdigest() == digest
 
 
 def test_sweep_is_identical_across_jobs(capsys):

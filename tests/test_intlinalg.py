@@ -2,6 +2,7 @@
 kernels and rational solving."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -227,6 +228,29 @@ def test_adjugate_scales_the_identity_by_a_positive_determinant(m):
         scaled = [[det if i == j else 0 for j in range(d)] for i in range(d)]
         assert mat_mul(mat, adj) == scaled
         assert mat_mul(adj, mat) == scaled
+
+
+def test_two_by_two_closed_forms_on_every_small_matrix():
+    """All 2401 matrices with entries in [-3, 3]: ``determinant`` equals the
+    Fraction elimination, and ``adjugate`` gives list rows with
+    ``m·adj = adj·m = det·I`` and ``det = |det m| > 0``, or ``ValueError``
+    when ``m`` is singular; ragged input is still not square."""
+    for a, b, c, d in product(range(-3, 4), repeat=4):
+        m = [[a, b], [c, d]]
+        det_m = determinant(m)
+        assert det_m == frac_det(m)
+        if det_m == 0:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                adjugate(m)
+            continue
+        adj, det = adjugate(m)
+        assert det == abs(det_m) and all(type(row) is list for row in adj)
+        assert mat_mul(m, adj) == mat_mul(adj, m) == [[det, 0], [0, det]]
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="determinant needs a square matrix"):
+            determinant(ragged)
+        with pytest.raises(ValueError, match="adjugate needs a square matrix"):
+            adjugate(ragged)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

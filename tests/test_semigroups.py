@@ -9,10 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nashlab.cones
+import nashlab.semigroups
 from nashlab.blowup import blowup_charts, log_jacobian, minimalize
 from nashlab.cones import Cone, hilbert_basis
 from nashlab.families import from_preset
-from nashlab.intlinalg import hermite_normal_form, identity_matrix, kernel_basis, matrix_rank
+from nashlab.intlinalg import dot, hermite_normal_form, identity_matrix, kernel_basis, matrix_rank
 from nashlab.semigroups import (
     AffineSemigroup,
     IsoCertificate,
@@ -33,6 +34,7 @@ from .helpers import (
     apply_matrix,
     brute_isomorphic,
     chart_corpus,
+    least_form_by_full_refinement,
     numerical_gap_semigroup,
     rand_unimodular,
     rays_by_definition,
@@ -560,19 +562,70 @@ def test_symmetric_cone_keys_and_certificates():
         assert cert is not None and cert.verify(hexagon, t)
 
 
-def test_least_form_does_not_depend_on_row_and_column_order():
-    """Refinement leaves every row of the vertex × edge incidence matrix of
-    a triangle, a square and a pentagon tied, though no symmetry maps a
-    vertex of one to a vertex of another; the least form is the same under
-    any row and column order."""
+def _polygon_incidence():
+    """The vertex × edge incidence matrix of a triangle, a square and a
+    pentagon: refinement leaves every row tied, though no symmetry maps a
+    vertex of one to a vertex of another."""
     edges = [(a + i, a + (i + 1) % n) for a, n in ((0, 3), (3, 4), (7, 5)) for i in range(n)]
-    S = [[int(v in e) for e in edges] for v in range(12)]
+    return [[int(v in e) for e in edges] for v in range(12)]
+
+
+def test_least_form_does_not_depend_on_row_and_column_order():
+    """Every row of :func:`_polygon_incidence` ties under refinement; the
+    least form is the same under any row and column order."""
+    S = _polygon_incidence()
     least = _least_form(S)[0]
     rng = random.Random(1003)
     for _ in range(20):
         rows, cols = rng.sample(range(12), 12), rng.sample(range(12), 12)
         moved = [[S[i][j] for j in cols] for i in rows]
         assert _least_form(moved)[0] == least
+
+
+def test_least_form_equals_refinement_until_a_round_repeats():
+    """Stopping refinement once a round adds no class, and not refining a
+    discrete colouring, reaches the same least leaf and column order as
+    refining every node until a round returns its own colours: on the
+    facet × generator slack matrix of every ``chart_corpus()`` chart, the
+    all-tied :func:`_polygon_incidence`, a matrix whose initial colouring
+    needs two splitting rounds (the first parts row 1 from rows 0, 2, 3
+    and 5, the second rows 0 and 2 from rows 3 and 5), one whose least
+    leaf changes when a row tried as a singleton is not refined, and three
+    seeded row and column shuffles of each."""
+    slack = {
+        tuple(tuple(dot(f, g) for g in c.semigroup.generators) for f in c.semigroup.cone.facets)
+        for _, c in chart_corpus()
+    }
+    two_rounds = [[0, 0, 0, 1, 1], [0, 1, 0, 0, 1], [1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 1, 1, 0, 1], [0, 0, 1, 1, 0]]
+    after_split = [[0, 1, 0, 1], [0, 0, 1, 0], [1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
+    rng = random.Random(1004)
+    cases = []
+    for S in [two_rounds, after_split, _polygon_incidence(), *sorted(slack)]:
+        cases.append(S)
+        for _ in range(3):
+            rows, cols = rng.sample(range(len(S)), len(S)), rng.sample(range(len(S[0])), len(S[0]))
+            cases.append([[S[i][j] for j in cols] for i in rows])
+    for S in cases:
+        assert _least_form(S) == least_form_by_full_refinement(S), S
+
+
+def test_least_form_refines_only_while_a_class_can_split(monkeypatch):
+    """Counting ``_ranks`` calls (a refinement round makes two): rows with
+    distinct sorted entries take the initial colouring and no round.  In
+    the 4 × 3 matrix below the three identity rows tie, and the initial
+    colouring is stable: one round at the root.  Each row tried as a
+    singleton gives the stable colouring 0 | 2 | 3 3, one round again
+    (two when a round must return its own colours, since the round's
+    dense 0 | 1 | 2 2 differs from it), and the leaves below are discrete,
+    with no round: 1 + 2 + 3 × 2 calls, against 31 by full refinement."""
+    calls = []
+    ranks = nashlab.semigroups._ranks
+    monkeypatch.setattr(nashlab.semigroups, "_ranks", lambda sigs: calls.append(sigs) or ranks(sigs))
+    _least_form([[0, 1, 5], [0, 2, 3], [4, 1, 1]])
+    assert len(calls) == 1
+    calls.clear()
+    _least_form([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert len(calls) == 9
 
 
 def test_isomorphism_needs_semigroups_that_generate_the_lattice():
