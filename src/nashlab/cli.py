@@ -205,7 +205,9 @@ def _add_run_flags(p):
     p.add_argument("--max-nodes", type=int, default=500, help="total chart budget")
     p.add_argument("--jobs", type=int, default=1,
                    help=f"worker processes for fresh chart expansions (at most {MAX_JOBS}), "
-                        "started when a run has one, never more than a level's fresh expansions")
+                        "started when a run has one, never more than a level's fresh expansions; "
+                        "each sweep instance starts its own pool, so on the family sweeps --jobs 2 "
+                        "is several times slower than --jobs 1: it pays on large rank-4 nash runs")
     p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
 

@@ -1,5 +1,6 @@
 """Rational polyhedral cones: generator/facet duality via the double
-description method, lineality, extreme rays and Hilbert bases.
+description method, lineality, extreme rays and Hilbert bases (walked along
+the boundary in rank 2, reduced from Hermite boxes in higher ranks).
 
 All cones live in an ambient lattice Z^rank and are represented exactly by
 integer generator vectors; the facet description is computed lazily, unless
@@ -23,8 +24,10 @@ from .intlinalg import (
 
 
 #: Most lattice points a Hermite box in :func:`_parallelepiped_points` may
-#: hold; a larger one is rejected before it is enumerated.  The boxes that
-#: the demos and the benchmark workloads build hold at most 28.
+#: hold, or the parallelepiped of a rank-2 cone's rays in
+#: :func:`_boundary_walk`; a larger one is rejected before any point is
+#: listed.  Rank-2 cones build no box, and the boxes that the demos and the
+#: benchmark workloads build, all of rank 4, hold at most 14.
 MAX_PARALLELEPIPED_POINTS = 10**6
 
 
@@ -203,6 +206,41 @@ class Cone:
         return dual_rays(self.facets + eqs + tuple(map(vneg, eqs)), self.rank)[0]
 
 
+def _check_size(size):
+    """Reject a parallelepiped of more than MAX_PARALLELEPIPED_POINTS points."""
+    if size > MAX_PARALLELEPIPED_POINTS:
+        raise ValueError(
+            f"a parallelepiped of {size} lattice points exceeds the bound "
+            f"MAX_PARALLELEPIPED_POINTS = {MAX_PARALLELEPIPED_POINTS}"
+        )
+
+
+def _boundary_walk(u, v):
+    """Hilbert basis of the rank-2 cone on the primitive rays u and v: the
+    lattice points on the compact edges of conv(cone ∩ Z^2 minus 0), its
+    Hirzebruch–Jung continued fraction (Cox, Little and Schenck, *Toric
+    Varieties*, 2011, §10.2).  With det(u, v) = D > 0, det(u, w_1) = 1 and
+    0 ≤ det(w_1, v) < D, the step w_{i+1} = a_i·w_i − w_{i−1} with
+    a_i = ⌈det(w_{i−1}, v) / det(w_i, v)⌉ keeps det(w_i, w_{i+1}) = 1 and
+    makes det(w, v) smaller, down to 0 at w = v.  D is the size of the
+    rays' parallelepiped, so the same cones fail its bound."""
+    D = u[0] * v[1] - u[1] * v[0]
+    if D < 0:
+        u, v, D = v, u, -D
+    _check_size(D)
+    (x, y), _ = hermite_normal_form([[u[0]], [u[1]]])[1]  # x·u_1 + y·u_2 = 1
+    k, c = divmod(-x * v[0] - y * v[1], D)  # det((-y, x), v) = k·D + c
+    prev, w = u, (-y - k * u[0], x - k * u[1])  # det(u, w) = 1
+    walk, c_prev = [u], D
+    while c:  # c = det(w, v) and c_prev = det(prev, v)
+        walk.append(w)
+        a = -(-c_prev // c)
+        prev, w = w, (a * w[0] - prev[0], a * w[1] - prev[1])
+        c_prev, c = c, a * c - c_prev
+    walk.append(w)  # w = v
+    return tuple(sorted(walk))
+
+
 def _parallelepiped_points(rays, rank):
     """Nonzero lattice points of the half-open parallelepiped spanned by
     ``rank`` rays; empty when the rays are dependent or unimodular.
@@ -218,11 +256,7 @@ def _parallelepiped_points(rays, rank):
     size = prod(diagonal)
     if size <= 1:
         return []
-    if size > MAX_PARALLELEPIPED_POINTS:
-        raise ValueError(
-            f"a parallelepiped of {size} lattice points exceeds the bound "
-            f"MAX_PARALLELEPIPED_POINTS = {MAX_PARALLELEPIPED_POINTS}"
-        )
+    _check_size(size)
     V = [[rays[j][i] for j in range(rank)] for i in range(rank)]  # columns = rays
     adj, det = adjugate(V)
     points = []
@@ -238,19 +272,22 @@ def hilbert_basis(cone):
     """Unique minimal generating set of cone ∩ Z^rank, for a pointed
     full-dimensional cone.
 
-    Candidates are gathered from the half-open parallelepipeds of every
-    rank-subset of the extreme rays (every point of the cone lies in a
-    simplicial subcone; a dependent or unimodular subset adds none), then
-    reduced in order of degree (the sum of the facet values, positive on
-    the cone minus 0): x is discarded when x - y lies in the cone for a
-    kept candidate y of lower degree, which is a comparison of facet values.
+    In rank 3 and up, candidates are gathered from the half-open
+    parallelepipeds of every rank-subset of the extreme rays (every point
+    of the cone lies in a simplicial subcone; a dependent or unimodular
+    subset adds none), then reduced in order of degree (the sum of the
+    facet values, positive on the cone minus 0): x is discarded when x - y
+    lies in the cone for a kept candidate y of lower degree, which is a
+    comparison of facet values.
 
     A simplicial cone, whose facet matrix F is square, needs no double
     description: F·adj(F) = |det F|·I, so its rays are the primitive
     columns of adj(F), and when |det F| = 1 they are the whole Hilbert
     basis (Cox, Little and Schenck, *Toric Varieties*, 2011, §1.3).  A
     singular square F belongs to a cone with a line, rejected like any
-    other that is not pointed.
+    other that is not pointed.  A pointed full-dimensional cone of rank 2
+    has a square F, and when |det F| > 1 its Hilbert basis is walked from
+    one ray to the other by :func:`_boundary_walk`, with no box.
     """
     if not cone.generators:
         raise DegenerateConeError("cone has no nonzero generators")
@@ -266,6 +303,8 @@ def hilbert_basis(cone):
         rays = tuple(sorted(map(primitive, zip(*adj))))
         if det == 1:
             return rays
+        if d == 2:
+            return _boundary_walk(*rays)
     else:
         rays = cone.extreme_rays()  # raises ValueError unless pointed
     cands = set(rays)

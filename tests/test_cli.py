@@ -15,6 +15,7 @@ import nashlab.cli
 import nashlab.cones
 import nashlab.intlinalg
 import nashlab.iterate
+import nashlab.semigroups
 from nashlab.cli import _run_config, _sweep_instances, build_parser, main
 from nashlab.cones import Cone
 from nashlab.families import cyclic_quotient
@@ -95,17 +96,20 @@ def test_describe_saturate_counts_hilbert_basis(capsys):
 
 
 def test_a_parallelepiped_above_its_bound_is_a_one_line_error(monkeypatch, capsys):
-    """reeve(50)'s simplex spans a parallelepiped of 50 points; with the
-    bound set to 49, saturating it in ``describe --saturate``, building the
+    """reeve(50)'s simplex spans a parallelepiped of 50 points, and so do
+    the rays of the rank-2 cone((1, 0), (1, 50)); with the bound set to 49,
+    saturating either in ``describe --saturate``, building the
     ``example:reeve:50`` preset or the ``reeve --q-max 50`` sweep, or a
     normalized run that saturates its first chart exits 1 with the bound's
     name."""
     monkeypatch.setattr(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", 49)
     gens = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 50, 1], [1, 1, 1, 2]]  # they span Z^4
-    for argv in (["describe", "-", "--saturate"], ["nash", "example:reeve:50"],
-                 ["nash", "-", "--normalized", "--max-depth", "2"],
-                 ["sweep", "reeve", "--q-max", "50", "--max-depth", "1"]):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"generators": gens})))
+    plane = [[1, 0], [1, 1], [1, 50]]  # they span Z^2
+    for argv, inputs in ((["describe", "-", "--saturate"], gens), (["describe", "-", "--saturate"], plane),
+                         (["nash", "example:reeve:50"], gens),
+                         (["nash", "-", "--normalized", "--max-depth", "2"], gens),
+                         (["sweep", "reeve", "--q-max", "50", "--max-depth", "1"], gens)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"generators": inputs})))
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -326,20 +330,56 @@ PINNED_REPORTS = [
      "c6dfc76940836337e9a9cdc4b966f3627e869d8e0ac509a3dceeb5ad9dc1bc72"),
     ("sweep rebassoo --max-entry 3", 0,
      "e6ff79bd9e2d2d4378ce68f86236a8aeb41ea63ef5e975c3658fef728ca14e00"),
+    ("sweep rebassoo --max-entry 4 --normalized", 0,
+     "55ffcec56a0405cf760a7fd898e12c78614cbc32cdd9d8e60f50ed4ebe590d4d"),
+    ("describe example:cyclic_quotient:17,97 --saturate", 0,
+     "881c615ce7d05288a049978add5c64a8bad182120cd63676bcb897550574a2e7"),
 ]
 
 
-@pytest.mark.parametrize(
-    "command, exit_code, digest", PINNED_REPORTS, ids=["-".join(c.split()[:2]) for c, _, _ in PINNED_REPORTS]
-)
+def _pinned_ids(rows):
+    """The first two words of each command; a later row whose two words are
+    taken is named by its whole command, so earlier rows keep their ids."""
+    ids = []
+    for command, _, _ in rows:
+        short = "-".join(command.split()[:2])
+        ids.append(short if short not in ids else "-".join(w.lstrip("-") for w in command.split()))
+    return ids
+
+
+@pytest.mark.parametrize("command, exit_code, digest", PINNED_REPORTS, ids=_pinned_ids(PINNED_REPORTS))
 def test_reports_match_their_pinned_digests(command, exit_code, digest, capsys):
     """Exit code and sha256 of the report minus ``timing_seconds``, recorded
     before the 2 × 2 closed forms and the early stop of ``_least_form``'s
-    refinement: a kernel change that keeps every value, key and generator
-    order keeps them byte for byte, certificates and full trees included."""
+    refinement (the last two rows before the rank-2 Hilbert bases were
+    walked instead of boxed): a kernel change that keeps every value, key
+    and generator order keeps them byte for byte, certificates and full
+    trees included."""
     code, out, _ = run_cli(command.split(), capsys)
     assert code == exit_code
     assert hashlib.sha256(_strip_timing(out).encode()).hexdigest() == digest
+
+
+def test_a_normalized_surface_sweep_lists_no_parallelepiped(monkeypatch, capsys):
+    """Every cone of a cyclic quotient sweep has rank 2, so its Hilbert
+    bases are walked along the boundary and no box is listed; the sweep
+    computes as many Hilbert bases as it did with boxes."""
+    counts = {"hilbert_basis": 0, "_parallelepiped_points": 0}
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(nashlab.semigroups, "hilbert_basis")
+    counted(nashlab.cones, "_parallelepiped_points")
+    code, _, _ = run_cli(["sweep", "cyclic_quotient", "--b-max", "12", "--normalized"], capsys)
+    assert code == 0
+    assert counts == {"hilbert_basis": 133, "_parallelepiped_points": 0}
 
 
 def test_sweep_is_identical_across_jobs(capsys):

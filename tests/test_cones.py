@@ -2,8 +2,11 @@
 saturation."""
 import random
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nashlab.cones
 from nashlab.blowup import log_jacobian
@@ -25,6 +28,7 @@ from .helpers import (
     corpus_parents,
     frac_det,
     frac_nullspace,
+    frac_rref,
     primitive_int,
     rand_unimodular,
     apply_matrix,
@@ -303,13 +307,71 @@ def test_a_square_facet_matrix_with_a_line_is_not_pointed():
 
 
 def test_hilbert_basis_rejects_a_parallelepiped_above_its_bound(monkeypatch):
-    """reeve(50)'s simplex spans a parallelepiped of 50 points: with the
-    bound set to 49 it is rejected, by name, before it is enumerated."""
+    """reeve(50)'s simplex spans a parallelepiped of 50 points, and so do
+    the rays of cone((1, 0), (1, 50)), whose basis is walked without a box:
+    with the bound set to 49 both are rejected, by name, before any point
+    is listed; at 50 they have 4 + 49 and 51 points."""
+    plane = Cone(2, [(1, 0), (1, 50)])
     monkeypatch.setattr(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", 49)
     with pytest.raises(ValueError, match="MAX_PARALLELEPIPED_POINTS = 49"):
         reeve(50)
+    with pytest.raises(ValueError, match="MAX_PARALLELEPIPED_POINTS = 49"):
+        hilbert_basis(plane)
     monkeypatch.setattr(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", 50)
     assert len(reeve(50).generators) == 4 + 49  # the rays and the nonzero box points
+    assert hilbert_basis(plane) == tuple((1, j) for j in range(51))
+
+
+def _rank_two_expectation(gens):
+    """What ``hilbert_basis`` must do on ``cone(gens)`` in Z^2, by brute
+    force: ``(error kind, message)``, or ``(basis, D)`` with D the size of
+    the rays' parallelepiped.  The Hilbert basis lies in that closed
+    parallelepiped, so in the box of twice the largest entry."""
+    gens = [g for g in gens if any(g)]
+    if not gens:
+        return DegenerateConeError, "no nonzero generators"
+    if len(frac_rref(gens)[0]) < 2:
+        return ValueError, "full-dimensional"
+    facets = brute_dual_rays(gens, 2)[0]
+    if len(facets) < 2:
+        return ValueError, "pointed"
+    rays = brute_dual_rays(facets, 2)[0]
+    bound = 2 * max(abs(x) for g in gens for x in g)
+    return tuple(brute_hilbert_basis(gens, 2, bound)), abs(int(frac_det(rays)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=4),
+    st.randoms(use_true_random=False),
+)
+@example([(1, 2), (-1, -2)], random.Random(0))  # a line
+@example([(1, 0), (-1, 0), (0, 1)], random.Random(1))  # a half-plane
+@example([(2, 4)], random.Random(2))  # a ray
+@example([(0, 0)], random.Random(3))  # no nonzero generator
+@example([(1, 0), (1, 4)], random.Random(4))
+@example([(3, -4), (-2, 3)], random.Random(5))
+@example([(0, 1), (2, 1)], random.Random(6))  # det((0, 1), (2, 1)) < 0
+def test_rank_two_hilbert_basis_is_the_brute_basis_in_any_coordinates(gens, rng):
+    """On random rank-2 generator sets, ``hilbert_basis`` is the box
+    oracle's, or fails with the oracle's kind of error; it moves with a
+    unimodular change of coordinates and a shuffle of the generators; and a
+    bound just below the rays' parallelepiped rejects it, by name."""
+    expected, detail = _rank_two_expectation(gens)
+    u = rand_unimodular(rng, 2)
+    moved = [apply_matrix(u, g) for g in gens]
+    rng.shuffle(moved)
+    if not isinstance(expected, tuple):
+        for g in (gens, moved):
+            with pytest.raises(expected, match=detail):
+                hilbert_basis(Cone(2, g))
+        return
+    assert hilbert_basis(Cone(2, gens)) == expected
+    assert hilbert_basis(Cone(2, moved)) == tuple(sorted(apply_matrix(u, h) for h in expected))
+    if detail > 1:
+        with mock.patch.object(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", detail - 1):
+            with pytest.raises(ValueError, match=f"MAX_PARALLELEPIPED_POINTS = {detail - 1}"):
+                hilbert_basis(Cone(2, moved))
 
 
 def test_hilbert_basis_rejects_bad_cones():
