@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .cones import dual_rays
-from .intlinalg import determinant, dot, matrix_rank, vsub
+from .cones import _double_description
+from .intlinalg import determinant, dot, vsub
 from .semigroups import AffineSemigroup, NotPointedError
 
 
@@ -128,13 +128,18 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     before the chart is built.  That certificate is strictly positive on
     every chart generator, so each chart is pointed.
 
+    The double description records which lifts each facet is tight on, so
+    no facet value is computed here.  The lifts tight on every facet
+    through (e, 1) are those of its least face; the Newton cone is pointed
+    and generated by the lifts, and no other lift is parallel to (e, 1), so
+    that face is the ray of (e, 1) iff (e, 1) is its only lift.
+
     A non-vertex exponent lies in the relative interior of a face through
     some vertex; its chart is a localization of that vertex's chart, so it
     adds nothing to the blowup and is not built.  An exponent in o′ + Γ
     for another exponent o′ is never a vertex, so the ideal need not be
     passed through :func:`minimalize`: the vertices, facets and charts stay
-    the same.  An exponent on fewer than d tight facets is no vertex and
-    costs no rank test.
+    the same.
 
     The chart at a vertex e is the tangent cone of the Newton polyhedron at
     e, so its facets are the Newton-cone facets (f, c) tight at (e, 1), cut
@@ -160,15 +165,20 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     # × R at once, which keeps the double description's intermediate cones
     # small; the facets do not depend on the order
     lifted = [g + (0,) for g in s.generators] + [e + (1,) for e in exps]
-    facets, equations = dual_rays(lifted, d + 1)
+    facets, equations = _double_description(lifted, d + 1)
     if equations:
         raise AssertionError("Newton cone of a full-rank semigroup must be full-dimensional")
     basis_of = {o: b for b, o in ideal.bases.items()}
     charts = []
-    for e in exps:
-        lift = e + (1,)
-        tight = [f for f in facets if dot(f, lift) == 0]
-        if len(tight) < d or matrix_rank(tight) != d:
+    # no lift is zero, so the lift at position p of ``lifted`` takes bit p
+    for p, e in enumerate(exps, len(s.generators)):
+        bit = 1 << p
+        tight, face = [], -1  # face: the lifts on every tight facet
+        for f, mask in facets:
+            if mask & bit:
+                tight.append(f)
+                face &= mask
+        if face != bit:
             continue
         cert = tuple(sum(f[i] for f in tight) for i in range(d))
         least = dot(cert, e)

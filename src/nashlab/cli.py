@@ -6,11 +6,14 @@ Exit codes for ``nash``: 0 = Resolved, 2 = CounterexampleCycle,
 one ``error:`` line.  That covers bad arguments and input, a bound such as
 ``MAX_PARALLELEPIPED_POINTS``, and every other ``ValueError`` the library
 raises, a library bug included; other exceptions keep their traceback.
+A reader that closes stdout early (``| head``) changes no exit code and
+leaves stderr empty.
 """
 from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import os
 import sys
@@ -58,9 +61,22 @@ def _load_input(text: str):
         raise ValueError(f"{label}: {e}")
 
 
+def _write(text: str) -> None:
+    """Write and flush a command's whole output.  A reader that closes
+    stdout early (``| head``) ends the write quietly: stdout is pointed at
+    the null device, so the interpreter's flush at exit cannot raise again,
+    and the command keeps its exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(doc, pretty: bool) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2 if pretty else None))
-    sys.stdout.write("\n")
+    _write(json.dumps(doc, indent=2 if pretty else None) + "\n")
 
 
 def _run_config(args) -> RunConfig:
@@ -180,10 +196,12 @@ def cmd_sweep(args) -> int:
     rows = [{"params": list(params), **row} for (params, _), row in zip(instances, rows)]
     if args.format == "csv":
         import csv  # only this format needs it
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["params", "verdict", "depth", "nodes"])
         for r in rows:
             writer.writerow([" ".join(str(p) for p in r["params"]), r["verdict"], r["depth"], r["nodes"]])
+        _write(out.getvalue())
     else:
         _emit(
             {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import prod
-from operator import sub
+from operator import mul, sub
 
 from .intlinalg import (
     adjugate,
@@ -49,9 +49,18 @@ def dual_rays(vecs, rank):
     rows have rank, and number, at least rank - l - 2 (Fukuda and Prodon,
     *Double description method revisited*, 1996).
     """
+    rays, lineality = _double_description(vecs, rank)
+    return tuple(vec for vec, _ in rays), lineality
+
+
+def _double_description(vecs, rank):
+    """:func:`dual_rays` with each ray's incidence: ``(rays, lineality)``
+    with ``rays`` the sorted ``(vector, mask)`` pairs, where bit k of a mask
+    is set iff the k-th nonzero input is 0 on the vector.  A zero input
+    takes no bit."""
     lin = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
     rays = []  # [vector, tight-bitmask] pairs
-    nproc = 0
+    bit = 1  # the bit of the current input
     for a in vecs:
         a = tuple(a)
         if len(a) != rank:
@@ -61,7 +70,8 @@ def dual_rays(vecs, rank):
         lvals = [dot(a, l) for l in lin]
         if any(lvals):
             # the hyperplane a = 0 cuts the lineality space: one lineality
-            # vector becomes a ray, the rest are projected into a = 0
+            # vector becomes a ray, tight on every earlier input, and the
+            # rest are projected into a = 0
             p = next(i for i, v in enumerate(lvals) if v != 0)
             l0, v0 = lin[p], lvals[p]
             if v0 < 0:
@@ -75,55 +85,48 @@ def dual_rays(vecs, rank):
             for vec, mask in rays:
                 vr = dot(a, vec)
                 nvec = primitive(tuple(x * v0 - y * vr for x, y in zip(vec, l0)))
-                new_rays.append([nvec, mask | (1 << nproc)])
-            new_rays.append([l0, (1 << nproc) - 1])
+                new_rays.append([nvec, mask | bit])
+            new_rays.append([l0, bit - 1])
             rays = new_rays
         else:
-            vals = [dot(a, vec) for vec, _ in rays]
-            if all(v >= 0 for v in vals):
-                for i, v in enumerate(vals):
-                    if v == 0:
-                        rays[i][1] |= 1 << nproc
-                nproc += 1
-                continue
-            keep = []
-            for i, v in enumerate(vals):
+            kept, positive, negative = [], [], []
+            for ray in rays:
+                v = sum(map(mul, a, ray[0]))
                 if v > 0:
-                    keep.append(rays[i])
-                elif v == 0:
-                    keep.append([rays[i][0], rays[i][1] | (1 << nproc)])
-            new = []
+                    kept.append(ray)
+                    positive.append((ray[0], ray[1], v))
+                elif v < 0:
+                    negative.append((ray[0], ray[1], v))
+                else:
+                    ray[1] |= bit
+                    kept.append(ray)
             least = rank - len(lin) - 2  # common tight rows of an adjacent pair
-            for i, vi in enumerate(vals):
-                if vi <= 0:
-                    continue
-                for j, vj in enumerate(vals):
-                    if vj >= 0:
-                        continue
-                    common = rays[i][1] & rays[j][1]
+            for vec_i, mask_i, vi in positive:
+                for vec_j, mask_j, vj in negative:
+                    common = mask_i & mask_j
                     if common.bit_count() < least:
                         continue
-                    adjacent = True
-                    for k, (_, mk) in enumerate(rays):
-                        if k != i and k != j and (mk & common) == common:
-                            adjacent = False
-                            break
-                    if not adjacent:
+                    # adjacent iff no third ray is tight on all of common
+                    seen = 0
+                    for _, mask in rays:
+                        if mask & common == common:
+                            seen += 1
+                            if seen == 3:
+                                break
+                    if seen == 3:
                         continue
-                    vec_i, vec_j = rays[i][0], rays[j][0]
                     nvec = primitive(
                         tuple(x * vi - y * vj for x, y in zip(vec_j, vec_i))
                     )
-                    new.append([nvec, common | (1 << nproc)])
-            rays = keep + new
-        nproc += 1
-    out_rays = tuple(sorted(vec for vec, _ in rays))
+                    kept.append([nvec, common | bit])
+            rays = kept
+        bit <<= 1
     if lin:
         H, _ = hermite_normal_form(lin)
         out_lin = tuple(tuple(r) for r in H if any(r))
     else:
         out_lin = ()
-    return out_rays, out_lin
+    return tuple(sorted(map(tuple, rays))), out_lin
 
 
 class Cone:

@@ -49,15 +49,30 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _pair_minors(r, s):
+    """The six 2 × 2 minors of the rows r and s of a 4 × 4 matrix, on the
+    column pairs 01, 02, 03, 12, 13, 23 in that order."""
+    r0, r1, r2, r3 = r
+    s0, s1, s2, s3 = s
+    return (r0 * s1 - r1 * s0, r0 * s2 - r2 * s0, r0 * s3 - r3 * s0,
+            r1 * s2 - r2 * s1, r1 * s3 - r3 * s1, r2 * s3 - r3 * s2)
+
+
 def determinant(m) -> int:
     """Exact determinant of a square integer matrix: ``ad - bc`` for a
-    2 × 2 one, fraction-free Bareiss for any other size."""
+    2 × 2 one, the Laplace expansion along rows 1–2 for a 4 × 4 one (each
+    2 × 2 minor of rows 1–2 times its complementary minor of rows 3–4),
+    fraction-free Bareiss for any other size."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
     if n == 2:
         (a, b), (c, d) = m
         return a * d - b * c
+    if n == 4:
+        s01, s02, s03, s12, s13, s23 = _pair_minors(m[0], m[1])
+        c01, c02, c03, c12, c13, c23 = _pair_minors(m[2], m[3])
+        return s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
     if n == 0:
         return 1
     a = [list(row) for row in m]
@@ -123,12 +138,6 @@ def hermite_normal_form(m):
         if r == rows:
             break
     return H, U
-
-
-def matrix_rank(m) -> int:
-    """Rank of an integer matrix (0 for a matrix with no rows)."""
-    H, _ = hermite_normal_form(m)
-    return sum(1 for row in H if any(row))
 
 
 def smith_normal_form(m):
@@ -278,10 +287,15 @@ def adjugate(m):
     ``det = |det(m)| > 0``; raises ``ValueError`` on a singular matrix.
 
     A 2 × 2 matrix takes the closed form ``[[d, -b], [-c, a]]``, negated
-    when ``ad - bc < 0``.  Any other size runs fraction-free Gauss-Jordan
-    (Bareiss) on ``[m | I]``: every division is exact, the left block ends
-    as ``p * I`` with ``p = ±det(m)`` and the right block as ``p * m^-1``;
-    both are multiplied by the sign of ``p``.
+    when ``ad - bc < 0``.  A 4 × 4 one takes its 16 cofactors from the same
+    twelve 2 × 2 minors of rows 1–2 and rows 3–4 as :func:`determinant`'s
+    expansion: the cofactor of an entry in rows 1–2 expands its 3 × 3 minor
+    along the other row of the pair, over minors of rows 3–4, and likewise
+    the other way round (Eberly, *The Laplace expansion theorem*, 2008).
+    Any other size runs fraction-free Gauss-Jordan (Bareiss) on ``[m | I]``:
+    every division is exact, the left block ends as ``p * I`` with
+    ``p = ±det(m)`` and the right block as ``p * m^-1``; both are
+    multiplied by the sign of ``p``.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -294,6 +308,26 @@ def adjugate(m):
         if det < 0:
             a, b, c, d, det = -a, -b, -c, -d, -det
         return [[d, -b], [-c, a]], det
+    if n == 4:
+        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = m
+        s01, s02, s03, s12, s13, s23 = _pair_minors(m[0], m[1])
+        c01, c02, c03, c12, c13, c23 = _pair_minors(m[2], m[3])
+        det = s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
+        if not det:
+            raise ValueError("matrix is singular")
+        adj = [
+            [a11 * c23 - a12 * c13 + a13 * c12, -a01 * c23 + a02 * c13 - a03 * c12,
+             a31 * s23 - a32 * s13 + a33 * s12, -a21 * s23 + a22 * s13 - a23 * s12],
+            [-a10 * c23 + a12 * c03 - a13 * c02, a00 * c23 - a02 * c03 + a03 * c02,
+             -a30 * s23 + a32 * s03 - a33 * s02, a20 * s23 - a22 * s03 + a23 * s02],
+            [a10 * c13 - a11 * c03 + a13 * c01, -a00 * c13 + a01 * c03 - a03 * c01,
+             a30 * s13 - a31 * s03 + a33 * s01, -a20 * s13 + a21 * s03 - a23 * s01],
+            [-a10 * c12 + a11 * c02 - a12 * c01, a00 * c12 - a01 * c02 + a02 * c01,
+             -a30 * s12 + a31 * s02 - a32 * s01, a20 * s12 - a21 * s02 + a22 * s01],
+        ]
+        if det < 0:
+            return [[-x for x in row] for row in adj], -det
+        return adj, det
     a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
     prev = 1
     for k in range(n):

@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 from math import gcd
 
 from nashlab.blowup import blowup_charts, log_jacobian, minimalize
-from nashlab.intlinalg import determinant, dot, hermite_normal_form, matrix_rank, primitive
+from nashlab.intlinalg import determinant, dot, hermite_normal_form, primitive
 from nashlab.semigroups import AffineSemigroup, canonicalize, isomorphic, unit_quotient
 
 
@@ -69,6 +69,13 @@ def primitive_int(v):
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
+
+
+def matrix_rank(m) -> int:
+    """Rank of an integer matrix (0 for a matrix with no rows), from its
+    Hermite form."""
+    H, _ = hermite_normal_form(m)
+    return sum(1 for row in H if any(row))
 
 
 def frac_det(m):

@@ -18,6 +18,7 @@ from nashlab.blowup import (
 from nashlab.cones import Cone, dual_rays, hilbert_basis
 from nashlab.families import cyclic_quotient, from_preset, numerical, rebassoo, reeve
 from nashlab.intlinalg import dot, vsub
+from nashlab.iterate import RunConfig, run
 from nashlab.semigroups import AffineSemigroup, NotPointedError, canonicalize, is_smooth, isomorphic
 
 from .helpers import (
@@ -26,6 +27,7 @@ from .helpers import (
     chart_corpus,
     corpus_parents,
     frac_det,
+    matrix_rank,
     rand_unimodular,
     scramble,
     smooth_corpus,
@@ -237,6 +239,44 @@ def test_blowup_charts_are_exactly_the_vertices():
     assert ideal.exponents == ((2, 1), (2, 2), (2, 3))
     charts = blowup_charts(ideal)
     assert [c.base_exponent for c in charts] == [(2, 1), (2, 3)]
+
+
+def _vertex_facets_by_rank(ideal):
+    """``{vertex: its tight facets cut to rank d}`` by the rank definition:
+    e is a vertex iff the Newton-cone facets tight at (e, 1) have rank d."""
+    s, d = ideal.ambient, ideal.ambient.rank
+    lifted = [g + (0,) for g in s.generators] + [e + (1,) for e in ideal.exponents]
+    facets, _ = dual_rays(lifted, d + 1)
+    out = {}
+    for e in ideal.exponents:
+        tight = [f for f in facets if dot(f, e + (1,)) == 0]
+        if tight and matrix_rank(tight) == d:
+            out[e] = tuple(sorted(f[:d] for f in tight))
+    return out
+
+
+def test_mask_vertices_and_tight_facets_are_the_rank_definition():
+    """The vertices that ``blowup_charts`` reads off the incidence masks, and
+    the facets each chart inherits, are those of the rank definition, on
+    the Newton cone of every ``chart_corpus()`` parent in chars 0/2/3/5 and
+    of every chart that a char-0 run of reeve(5) expands up to depth 4."""
+    parents = [(s, ch) for s, _ in corpus_parents() for ch in (0, 2, 3, 5)]
+    tree = run(reeve(5), RunConfig(characteristic=0, max_depth=5))
+    expanded = sorted({n.parent for n in tree.nodes if n.parent is not None})
+    assert max(tree.nodes[i].depth for i in expanded) == 4
+    parents += [(tree.nodes[i].semigroup, 0) for i in expanded]
+    vertices = non_vertices = 0
+    for s, ch in parents:
+        try:
+            ideal = log_jacobian(s, ch)
+        except EmptyLogJacobian:
+            continue
+        want = _vertex_facets_by_rank(ideal)
+        got = {c.base_exponent: c.semigroup.cone.facets for c in blowup_charts(ideal)}
+        assert got == want, (s, ch)
+        vertices += len(want)
+        non_vertices += len(ideal.exponents) - len(want)
+    assert vertices >= 1000 and non_vertices >= 1000, (vertices, non_vertices)
 
 
 def test_log_jacobian_records_every_basis_with_its_exponent():

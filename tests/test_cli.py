@@ -571,3 +571,23 @@ def test_cli_import_leaves_out_dataclasses_fractions_and_csv():
     assert at_import == [] and after1 == []
     assert "multiprocessing" in after2
     assert (code2, report2) == (code1, report1)
+
+
+def test_a_reader_that_closes_stdout_early_leaves_stderr_empty():
+    """``nash ... | head -c 50``: the report, 144 kB here, overflows the
+    pipe, the reader closes it after 50 bytes, and the run still exits with
+    its verdict's code and prints nothing on stderr, no traceback and no
+    failed flush at exit."""
+    src = os.path.dirname(os.path.dirname(nashlab.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["nash", "example:cdll", "--max-depth", "3", "--full-tree", "--pretty"]
+    with subprocess.Popen([sys.executable, "-m", "nashlab", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head.startswith(b"{\n")
+    assert err == b""
+    assert code == 2

@@ -13,12 +13,13 @@ from nashlab.blowup import log_jacobian
 from nashlab.cones import (
     Cone,
     DegenerateConeError,
+    _double_description,
     _parallelepiped_points,
     dual_rays,
     hilbert_basis,
 )
 from nashlab.families import reeve
-from nashlab.intlinalg import dot, kernel_basis, matrix_rank, primitive
+from nashlab.intlinalg import dot, kernel_basis, primitive
 
 from .helpers import (
     _lattice_contains,
@@ -29,6 +30,7 @@ from .helpers import (
     frac_det,
     frac_nullspace,
     frac_rref,
+    matrix_rank,
     primitive_int,
     rand_unimodular,
     apply_matrix,
@@ -137,6 +139,35 @@ def test_dual_rays_on_newton_cones_of_corpus_parents():
             assert lin == () and set(rays) <= set(map(primitive, lifted))
             large += 1
     assert small >= 500 and large >= 100
+
+
+def test_double_description_masks_are_the_brute_incidence():
+    """Bit k of a ray's mask is set iff the k-th nonzero input is 0 on the
+    ray, and the rays and lineality are those of ``dual_rays``.  Seeded
+    inputs of rank 2 to 4 with zero vectors anywhere, which take no bit,
+    and duplicates; every input not orthogonal to the lineality left by the
+    earlier ones cuts it, and some runs end with lineality."""
+    rng = random.Random(2706)
+    seen = {"rays": 0, "zero before a nonzero": 0, "duplicates": 0, "lineality": 0, "cuts": 0}
+    for _ in range(600):
+        d = rng.randint(2, 4)
+        vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, 7))]
+        for _ in range(rng.randint(0, 2)):
+            vecs.insert(rng.randrange(len(vecs) + 1), rng.choice(vecs))
+            vecs.insert(rng.randrange(len(vecs) + 1), (0,) * d)
+        rays, lin = _double_description(vecs, d)
+        assert (tuple(v for v, _ in rays), lin) == dual_rays(vecs, d)
+        assert [v for v, _ in rays] == sorted(v for v, _ in rays)
+        nonzero = [v for v in vecs if any(v)]
+        for vec, mask in rays:
+            assert mask == sum(1 << k for k, v in enumerate(nonzero) if dot(v, vec) == 0), vecs
+        seen["rays"] += len(rays)
+        seen["zero before a nonzero"] += any(not any(v) for v in vecs[:vecs.index(nonzero[-1])]) if nonzero else 0
+        seen["duplicates"] += len(set(nonzero)) < len(nonzero)
+        seen["lineality"] += bool(lin) and bool(rays)
+        # the inputs that cut the lineality space are the pivots of their span
+        seen["cuts"] += matrix_rank(nonzero) > 1 if nonzero else 0
+    assert min(seen.values()) >= 100, seen
 
 
 def test_dual_rays_lineality_lattice_is_saturated_kernel():

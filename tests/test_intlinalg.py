@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nashlab.intlinalg
 from nashlab.intlinalg import (
     NoSolution,
     Underdetermined,
@@ -16,13 +17,12 @@ from nashlab.intlinalg import (
     dot,
     hermite_normal_form,
     kernel_basis,
-    matrix_rank,
     primitive,
     smith_normal_form,
     solve_rational,
 )
 
-from .helpers import _lattice_contains, frac_det, frac_nullspace, frac_rref, rand_unimodular
+from .helpers import _lattice_contains, frac_det, frac_nullspace, frac_rref, matrix_rank, rand_unimodular
 
 
 def mat_mul(a, b):
@@ -251,6 +251,81 @@ def test_two_by_two_closed_forms_on_every_small_matrix():
             determinant(ragged)
         with pytest.raises(ValueError, match="adjugate needs a square matrix"):
             adjugate(ragged)
+
+
+def _check_four_by_four(m):
+    """``determinant`` equals the Fraction elimination, and ``adjugate``
+    gives list rows with ``m·adj = adj·m = det·I`` and ``det = |det m| > 0``,
+    or the singular ``ValueError``; returns the determinant."""
+    det_m = determinant(m)
+    assert det_m == frac_det(m), m
+    if det_m == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            adjugate(m)
+        return 0
+    adj, det = adjugate(m)
+    assert det == abs(det_m) and all(type(row) is list for row in adj)
+    scaled = [[det if i == j else 0 for j in range(4)] for i in range(4)]
+    assert mat_mul(m, adj) == mat_mul(adj, m) == scaled, m
+    return det_m
+
+
+def test_four_by_four_closed_forms_on_small_matrices():
+    """20,000 seeded 4 × 4 matrices with entries in [-3, 3], a fifth of them
+    each with a repeated row, a zero column and rank 3 (the last row a
+    combination of the others), as lists and as the tuples of generators
+    that ``log_jacobian`` passes."""
+    rng = random.Random(2704)
+    kinds = {"random": 0, "repeated row": 0, "zero column": 0, "rank 3": 0, "tuples": 0}
+    singular = 0
+    for kind in [k for k in kinds for _ in range(4000)]:
+        m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        if kind == "repeated row":
+            i, j = rng.sample(range(4), 2)
+            m[i] = list(m[j])
+        elif kind == "zero column":
+            j = rng.randrange(4)
+            for row in m:
+                row[j] = 0
+        elif kind == "rank 3":
+            while True:
+                c = [rng.randint(-1, 1) for _ in range(3)]
+                last = [sum(ci * row[j] for ci, row in zip(c, m[:3])) for j in range(4)]
+                if max(map(abs, last)) <= 3:
+                    break
+                m = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+            m[3] = last
+            rng.shuffle(m)
+        elif kind == "tuples":
+            m = tuple(map(tuple, m))
+        det_m = _check_four_by_four(m)
+        singular += det_m == 0
+        kinds[kind] += 1
+        if kind in ("repeated row", "zero column", "rank 3"):
+            assert det_m == 0
+    assert min(kinds.values()) == 4000 and 12000 < singular < 20000
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-10**12, 10**12), min_size=4, max_size=4), min_size=4, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_four_by_four_closed_forms_on_large_entries(m, coeffs):
+    _check_four_by_four(m)
+    # a last row combined from the others: singular, however large
+    m[3] = [sum(c * row[j] for c, row in zip(coeffs, m[:3])) for j in range(4)]
+    assert _check_four_by_four(m) == 0
+
+
+def test_four_by_four_adjugate_calls_no_determinant(monkeypatch):
+    def unused(m):
+        raise AssertionError("a 4 × 4 adjugate must not call determinant")
+
+    monkeypatch.setattr(nashlab.intlinalg, "determinant", unused)
+    m = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]
+    adj, det = adjugate(m)
+    assert det == 5 and mat_mul(m, adj) == [[5 if i == j else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        adjugate([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 1, 0]])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

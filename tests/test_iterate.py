@@ -108,12 +108,14 @@ def test_root_with_units_gets_quotient_and_unit_rank():
 def test_one_double_description_per_newton_cone(monkeypatch, preset, config, expected):
     """Each chart's one Cone inherits its facets from the Newton cone and is
     shared by its presentation, its Hilbert basis and its smoothness test, so
-    a run computes one double description of generators per expansion;
-    pointed charts skip the unit search.  Every Hilbert basis here is of a
-    simplicial cone, whose rays are read off its square facet matrix, so no
-    double description of facets runs."""
+    a run computes one double description of generators per expansion, the
+    Newton cone's, which ``blowup_charts`` takes with its incidence masks
+    from ``_double_description``; pointed charts skip the unit search.
+    Every Hilbert basis here is of a simplicial cone, whose rays are read
+    off its square facet matrix, so no double description of facets runs."""
     counts = {"generator_side": 0, "facet_side": 0, "hilbert_basis": 0, "contains": 0, "expanded": 0}
     dual_rays, contains = nashlab.cones.dual_rays, nashlab.cones.Cone.contains
+    double_description = nashlab.blowup._double_description
     extreme_rays, hilbert_basis = nashlab.cones.Cone.extreme_rays, nashlab.semigroups.hilbert_basis
     step_charts = nashlab.iterate.step_charts
     in_extreme_rays = []
@@ -121,6 +123,10 @@ def test_one_double_description_per_newton_cone(monkeypatch, preset, config, exp
     def counted_dual_rays(*args):
         counts["facet_side" if in_extreme_rays else "generator_side"] += 1
         return dual_rays(*args)
+
+    def counted_double_description(*args):
+        counts["facet_side" if in_extreme_rays else "generator_side"] += 1
+        return double_description(*args)
 
     def counted_extreme_rays(self):
         in_extreme_rays.append(self)
@@ -144,7 +150,7 @@ def test_one_double_description_per_newton_cone(monkeypatch, preset, config, exp
     root = from_preset(preset)
     root.cone.facets  # the root's cone is computed before the run
     monkeypatch.setattr(nashlab.cones, "dual_rays", counted_dual_rays)
-    monkeypatch.setattr(nashlab.blowup, "dual_rays", counted_dual_rays)
+    monkeypatch.setattr(nashlab.blowup, "_double_description", counted_double_description)
     monkeypatch.setattr(nashlab.cones.Cone, "contains", counted_contains)
     monkeypatch.setattr(nashlab.cones.Cone, "extreme_rays", counted_extreme_rays)
     monkeypatch.setattr(nashlab.semigroups, "hilbert_basis", counted_hilbert_basis)

@@ -13,7 +13,7 @@ import nashlab.semigroups
 from nashlab.blowup import blowup_charts, log_jacobian, minimalize
 from nashlab.cones import Cone, hilbert_basis
 from nashlab.families import from_preset
-from nashlab.intlinalg import dot, hermite_normal_form, identity_matrix, kernel_basis, matrix_rank
+from nashlab.intlinalg import dot, hermite_normal_form, identity_matrix, kernel_basis
 from nashlab.semigroups import (
     AffineSemigroup,
     IsoCertificate,
@@ -35,6 +35,7 @@ from .helpers import (
     brute_isomorphic,
     chart_corpus,
     least_form_by_full_refinement,
+    matrix_rank,
     numerical_gap_semigroup,
     rand_unimodular,
     rays_by_definition,
