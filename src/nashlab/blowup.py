@@ -122,11 +122,14 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     exponent.
 
     Vertices come from a single double description of the homogenized
-    Newton cone (exponents at height 1, recession generators at height 0):
-    an exponent is a vertex iff its lift is an extreme ray, and the sum of
-    its tight facet normals is a strict separating functional, checked
-    before the chart is built.  That certificate is strictly positive on
-    every chart generator, so each chart is pointed.
+    Newton cone (exponents at height 1, recession generators at height 0),
+    resumed from the cone the recession lifts cut out, (dual cone of Γ) × R,
+    whose extreme rays are Γ's facets at height 0, so only the exponent
+    lifts are fed to it.  An exponent is a vertex iff its lift is an
+    extreme ray, and the sum of its tight facet normals is a strict
+    separating functional, checked before the chart is built.  That
+    certificate is strictly positive on every chart generator, so each
+    chart is pointed.
 
     The double description records which lifts each facet is tight on, so
     no facet value is computed here.  The lifts tight on every facet
@@ -161,17 +164,25 @@ def blowup_charts(ideal: MonomialIdeal) -> list:
     d = s.rank
     exps = ideal.exponents
 
-    # recession generators first: they cut the cone down to (dual cone of Γ)
-    # × R at once, which keeps the double description's intermediate cones
-    # small; the facets do not depend on the order
-    lifted = [g + (0,) for g in s.generators] + [e + (1,) for e in exps]
-    facets, equations = _double_description(lifted, d + 1)
-    if equations:
+    # the recession lifts (g, 0) cut the cone down to (dual cone of Γ) × R,
+    # which the chart already knows: its facets f are that cone's extreme
+    # rays (f, 0), tight on the lifts of the generators g_k with f·g_k = 0,
+    # and its lineality is the last axis; the double description resumes
+    # there and takes only the exponent lifts (e, 1)
+    if s.cone.span_equations:
         raise AssertionError("Newton cone of a full-rank semigroup must be full-dimensional")
+    n = len(s.generators)
+    start = (
+        [(f + (0,), sum(1 << k for k, g in enumerate(s.generators) if not dot(f, g)))
+         for f in s.cone.facets],
+        [(0,) * d + (1,)],
+        1 << n,
+    )
+    facets, _ = _double_description([e + (1,) for e in exps], d + 1, start)
     basis_of = {o: b for b, o in ideal.bases.items()}
     charts = []
-    # no lift is zero, so the lift at position p of ``lifted`` takes bit p
-    for p, e in enumerate(exps, len(s.generators)):
+    # bit k is the lift of generator k, and bit n + p that of exponent p
+    for p, e in enumerate(exps, n):
         bit = 1 << p
         tight, face = [], -1  # face: the lifts on every tight facet
         for f, mask in facets:

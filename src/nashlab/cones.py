@@ -53,14 +53,24 @@ def dual_rays(vecs, rank):
     return tuple(vec for vec, _ in rays), lineality
 
 
-def _double_description(vecs, rank):
+def _double_description(vecs, rank, start=None):
     """:func:`dual_rays` with each ray's incidence: ``(rays, lineality)``
     with ``rays`` the sorted ``(vector, mask)`` pairs, where bit k of a mask
     is set iff the k-th nonzero input is 0 on the vector.  A zero input
-    takes no bit."""
-    lin = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    rays = []  # [vector, tight-bitmask] pairs
-    bit = 1  # the bit of the current input
+    takes no bit.
+
+    The method is incremental, so it resumes from any cone whose double
+    description is known (Fukuda and Prodon, 1996): ``start`` is that
+    cone's ``(rays, lineality, next bit)``, with ``(vector, mask)`` pairs
+    for the extreme rays of its pointed part and the masks in the same bit
+    layout, and the inputs cut it taking bits from ``next bit`` up.
+    Without ``start`` they cut the whole space: no rays, the unit vectors
+    as lineality and bit 1.
+    """
+    rays, lin, bit = start or (
+        (), [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)], 1
+    )  # bit: the bit of the current input
+    rays = [list(ray) for ray in rays]  # [vector, tight-bitmask] pairs
     for a in vecs:
         a = tuple(a)
         if len(a) != rank:
@@ -122,7 +132,7 @@ def _double_description(vecs, rank):
             rays = kept
         bit <<= 1
     if lin:
-        H, _ = hermite_normal_form(lin)
+        H, _ = hermite_normal_form(lin, transform=False)
         out_lin = tuple(tuple(r) for r in H if any(r))
     else:
         out_lin = ()
@@ -218,6 +228,16 @@ def _check_size(size):
         )
 
 
+def _bezout(a, b):
+    """``(x, y)`` with x·a + y·b = gcd(a, b), by the extended Euclidean
+    algorithm."""
+    x, y, x1, y1 = 1, 0, 0, 1  # x·a0 + y·b0 = a and x1·a0 + y1·b0 = b
+    while b:
+        q, r = divmod(a, b)
+        a, b, x, y, x1, y1 = b, r, x1, y1, x - q * x1, y - q * y1
+    return (x, y) if a >= 0 else (-x, -y)
+
+
 def _boundary_walk(u, v):
     """Hilbert basis of the rank-2 cone on the primitive rays u and v: the
     lattice points on the compact edges of conv(cone ∩ Z^2 minus 0), its
@@ -225,13 +245,15 @@ def _boundary_walk(u, v):
     Varieties*, 2011, §10.2).  With det(u, v) = D > 0, det(u, w_1) = 1 and
     0 ≤ det(w_1, v) < D, the step w_{i+1} = a_i·w_i − w_{i−1} with
     a_i = ⌈det(w_{i−1}, v) / det(w_i, v)⌉ keeps det(w_i, w_{i+1}) = 1 and
-    makes det(w, v) smaller, down to 0 at w = v.  D is the size of the
-    rays' parallelepiped, so the same cones fail its bound."""
+    makes det(w, v) smaller, down to 0 at w = v.  w_1 is (−y, x) for the
+    Bézout pair x·u_1 + y·u_2 = 1 of :func:`_bezout`, less the multiple of
+    u that brings det(w_1, v) into [0, D).  D is the size of the rays'
+    parallelepiped, so the same cones fail its bound."""
     D = u[0] * v[1] - u[1] * v[0]
     if D < 0:
         u, v, D = v, u, -D
     _check_size(D)
-    (x, y), _ = hermite_normal_form([[u[0]], [u[1]]])[1]  # x·u_1 + y·u_2 = 1
+    x, y = _bezout(*u)  # x·u_1 + y·u_2 = 1
     k, c = divmod(-x * v[0] - y * v[1], D)  # det((-y, x), v) = k·D + c
     prev, w = u, (-y - k * u[0], x - k * u[1])  # det(u, w) = 1
     walk, c_prev = [u], D
@@ -254,7 +276,7 @@ def _parallelepiped_points(rays, rank):
     A representative ``g`` is moved into the parallelepiped as
     ``g - V * floor(V^-1 g)``, with ``V^-1 = adj / det`` and ``det > 0``.
     """
-    H, _ = hermite_normal_form(rays)
+    H, _ = hermite_normal_form(rays, transform=False)
     diagonal = [H[i][i] for i in range(rank)]
     size = prod(diagonal)
     if size <= 1:

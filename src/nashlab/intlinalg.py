@@ -64,8 +64,9 @@ def determinant(m) -> int:
     2 × 2 minor of rows 1–2 times its complementary minor of rows 3–4),
     fraction-free Bareiss for any other size."""
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
+    for row in m:
+        if len(row) != n:
+            raise ValueError("determinant needs a square matrix")
     if n == 2:
         (a, b), (c, d) = m
         return a * d - b * c
@@ -94,16 +95,18 @@ def determinant(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def hermite_normal_form(m):
+def hermite_normal_form(m, *, transform=True):
     """Row-style Hermite normal form.
 
     Returns ``(H, U)`` with ``U * m = H``, ``U`` unimodular, pivots positive
-    and entries above each pivot reduced to ``[0, pivot)``.
+    and entries above each pivot reduced to ``[0, pivot)``.  With
+    ``transform=False`` no ``U`` is built and ``(H, None)`` is returned: of
+    the pipeline's callers only :func:`kernel_basis` reads ``U``.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     H = [list(r) for r in m]
-    U = identity_matrix(rows)
+    U = identity_matrix(rows) if transform else None
     r = 0
     for c in range(cols):
         piv = None
@@ -114,26 +117,30 @@ def hermite_normal_form(m):
         if piv is None:
             continue
         H[r], H[piv] = H[piv], H[r]
-        U[r], U[piv] = U[piv], U[r]
+        if transform:
+            U[r], U[piv] = U[piv], U[r]
         for i in range(r + 1, rows):
             while H[i][c] != 0:
                 q = H[r][c] // H[i][c]
                 for j in range(cols):
                     H[r][j] -= q * H[i][j]
-                for j in range(rows):
-                    U[r][j] -= q * U[i][j]
                 H[r], H[i] = H[i], H[r]
-                U[r], U[i] = U[i], U[r]
+                if transform:
+                    for j in range(rows):
+                        U[r][j] -= q * U[i][j]
+                    U[r], U[i] = U[i], U[r]
         if H[r][c] < 0:
             H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
+            if transform:
+                U[r] = [-x for x in U[r]]
         for i in range(r):
             q = H[i][c] // H[r][c]
             if q:
                 for j in range(cols):
                     H[i][j] -= q * H[r][j]
-                for j in range(rows):
-                    U[i][j] -= q * U[r][j]
+                if transform:
+                    for j in range(rows):
+                        U[i][j] -= q * U[r][j]
         r += 1
         if r == rows:
             break
@@ -298,8 +305,9 @@ def adjugate(m):
     multiplied by the sign of ``p``.
     """
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("adjugate needs a square matrix")
+    for row in m:
+        if len(row) != n:
+            raise ValueError("adjugate needs a square matrix")
     if n == 2:
         (a, b), (c, d) = m
         det = a * d - b * c

@@ -267,7 +267,7 @@ def _root_chart(root: AffineSemigroup):
     unless the Hermite form of its generators is already the identity),
     divided by its units, and minimally presented."""
     # canonical iff the generators span Z^rank, i.e. their Hermite form is I
-    H, _ = hermite_normal_form(root.generators)
+    H, _ = hermite_normal_form(root.generators, transform=False)
     if root.rank and [row for row in H if any(row)] != identity_matrix(root.rank):
         root = canonicalize(root.generators)
     pointed, unit_rank = unit_quotient(root)

@@ -251,7 +251,7 @@ def canonicalize(gens) -> AffineSemigroup:
     nz = sorted({p for p in pts if any(p)})
     if not nz:
         raise ValueError("all generators are zero")
-    H, _ = hermite_normal_form(nz)
+    H, _ = hermite_normal_form(nz, transform=False)
     basis = list(zip([row for row in H if any(row)], _pivot_columns(H)))
     out = []
     for g in nz:
@@ -281,7 +281,7 @@ def unit_quotient(s: AffineSemigroup):
     lin = s.cone.lineality_basis()
     d, u = s.rank, len(lin)
     A = kernel_basis(lin)
-    H, _ = hermite_normal_form(list(zip(*A)))
+    H, _ = hermite_normal_form(list(zip(*A)), transform=False)
     if len(A) + u != d or [row for row in H if any(row)] != identity_matrix(d - u):
         raise AssertionError("unit quotient map must be onto Z^(rank - u)")
     img = [tuple(dot(a, g) for a in A) for g in s.generators]
@@ -445,7 +445,7 @@ def isomorphic(a: AffineSemigroup, b: AffineSemigroup):
     if ka != kb:
         return None
     d = a.rank
-    basis = _pivot_columns(hermite_normal_form(list(zip(*ga)))[0])
+    basis = _pivot_columns(hermite_normal_form(list(zip(*ga)), transform=False)[0])
     adj, det = adjugate(list(zip(*(ga[j] for j in basis))))
     # U · ga[j] = gb[j] for j in basis: U = B · adj / det, B with columns gb[j]
     U = [[sum(gb[j][t] * r[k] for j, r in zip(basis, adj)) for k in range(d)] for t in range(d)]

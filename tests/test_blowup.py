@@ -2,9 +2,11 @@
 and their certificates, and the composed step."""
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
+import nashlab.blowup
 from nashlab.blowup import (
     MAX_CHARACTERISTIC,
     EmptyLogJacobian,
@@ -15,7 +17,7 @@ from nashlab.blowup import (
     step_charts,
     validate_characteristic,
 )
-from nashlab.cones import Cone, dual_rays, hilbert_basis
+from nashlab.cones import Cone, _double_description, dual_rays, hilbert_basis
 from nashlab.families import cyclic_quotient, from_preset, numerical, rebassoo, reeve
 from nashlab.intlinalg import dot, vsub
 from nashlab.iterate import RunConfig, run
@@ -172,6 +174,69 @@ def test_inherited_chart_facets_are_the_double_description():
         assert sg.cone.span_equations == ()
         ranks.add((depth, sg.rank))
     assert (2, 4) in ranks and (2, 2) in ranks
+
+
+def _check_resumed_newton_cone(s, ch):
+    """``blowup_charts`` on the log Jacobian of s runs one double
+    description, of the exponent lifts only, resumed from (dual cone of Γ)
+    × R; that start is the double description of the recession lifts, and
+    the result, rays with their masks and lineality, is the one from
+    scratch over the recession and exponent lifts."""
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, _double_description(*args)))
+        return calls[-1][1]
+
+    ideal = log_jacobian(s, ch)
+    with mock.patch.object(nashlab.blowup, "_double_description", recorded):
+        blowup_charts(ideal)
+    [((vecs, rank, (rays, lin, bit)), resumed)] = calls
+    recession = [g + (0,) for g in s.generators]
+    assert rank == s.rank + 1 and list(vecs) == [e + (1,) for e in ideal.exponents]
+    assert (tuple(sorted(rays)), tuple(lin)) == _double_description(recession, rank)
+    assert bit == 1 << len(recession)
+    assert resumed == _double_description(recession + list(vecs), rank), (s.generators, ch)
+
+
+def test_resumed_newton_cone_is_the_double_description_from_scratch():
+    """On every ``chart_corpus()`` parent in chars 0/2/3/5, the parents of a
+    depth-4 ``reeve(5)`` run (depths 0 to 3) and seeded random pointed
+    full-dimensional cones of rank 2 to 4."""
+    checked = 0
+    for s, _ in corpus_parents():
+        for ch in (0, 2, 3, 5):
+            _check_resumed_newton_cone(s, ch)
+            checked += 1
+    tree = run(reeve(5), RunConfig(characteristic=0, max_depth=4))
+    parents = [n for n in tree.nodes if n.children]
+    assert {n.depth for n in parents} == {0, 1, 2, 3}
+    for n in parents:
+        _check_resumed_newton_cone(n.semigroup, 0)
+        checked += 1
+    rng = random.Random(2801)
+    randoms = 0
+    while randoms < 60:
+        d = rng.randint(2, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d, d + 3))]
+        if matrix_rank(gens) < d or not Cone(d, gens).is_pointed:
+            continue
+        try:
+            _check_resumed_newton_cone(AffineSemigroup(d, gens), rng.choice((0, 2, 3)))
+        except EmptyLogJacobian:
+            continue
+        randoms += 1
+    assert checked >= 700, checked
+
+
+def test_newton_cone_of_a_lower_dimensional_ambient_is_rejected():
+    """(dual cone of Γ) × R is a cone with extreme rays (f, 0) only when Γ
+    is full-dimensional; otherwise the resumed double description would
+    start from a wrong cone, so ``blowup_charts`` refuses it."""
+    s = AffineSemigroup(2, [(1, 0), (2, 0)])
+    ideal = MonomialIdeal(s, [(3, 0)], bases={(0, 1): (3, 0)})
+    with pytest.raises(AssertionError, match="must be full-dimensional"):
+        blowup_charts(ideal)
 
 
 def test_given_facets_must_be_valid_on_the_generators():

@@ -13,6 +13,7 @@ from nashlab.blowup import log_jacobian
 from nashlab.cones import (
     Cone,
     DegenerateConeError,
+    _bezout,
     _double_description,
     _parallelepiped_points,
     dual_rays,
@@ -383,6 +384,7 @@ def _rank_two_expectation(gens):
 @example([(1, 0), (1, 4)], random.Random(4))
 @example([(3, -4), (-2, 3)], random.Random(5))
 @example([(0, 1), (2, 1)], random.Random(6))  # det((0, 1), (2, 1)) < 0
+@example([(-3, 5), (5, -3)], random.Random(7))  # both rays with entries of either sign
 def test_rank_two_hilbert_basis_is_the_brute_basis_in_any_coordinates(gens, rng):
     """On random rank-2 generator sets, ``hilbert_basis`` is the box
     oracle's, or fails with the oracle's kind of error; it moves with a
@@ -403,6 +405,21 @@ def test_rank_two_hilbert_basis_is_the_brute_basis_in_any_coordinates(gens, rng)
         with mock.patch.object(nashlab.cones, "MAX_PARALLELEPIPED_POINTS", detail - 1):
             with pytest.raises(ValueError, match=f"MAX_PARALLELEPIPED_POINTS = {detail - 1}"):
                 hilbert_basis(Cone(2, moved))
+
+
+def test_bezout_pair_of_a_primitive_vector():
+    """The pair ``_boundary_walk`` starts from: x·u_1 + y·u_2 = 1 on the
+    unit vectors, on vectors with entries of either sign and on seeded
+    primitive vectors."""
+    rng = random.Random(2802)
+    vectors = [(0, 1), (1, 0), (0, -1), (-1, 0), (-3, 5), (5, -3), (-3, -5), (1, 1), (7, 3)]
+    while len(vectors) < 200:
+        u = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+        if primitive(u) == u and any(u):
+            vectors.append(u)
+    for u in vectors:
+        x, y = _bezout(*u)
+        assert x * u[0] + y * u[1] == 1, u
 
 
 def test_hilbert_basis_rejects_bad_cones():

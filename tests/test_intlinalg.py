@@ -41,8 +41,23 @@ def test_determinant_hand_cases():
 
 
 def test_determinant_rejects_non_square():
+    """Also a matrix of n rows with a row of another length, in the sizes
+    with closed forms too, and for ``adjugate``."""
     with pytest.raises(ValueError):
         determinant([[1, 2, 3], [4, 5, 6]])
+    ragged = [
+        [[1, 2], [3]],
+        [[1, 2], [3, 4, 5]],
+        [[1], [2, 3]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1, 0]],
+        [[1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ]
+    for m in ragged:
+        with pytest.raises(ValueError, match="determinant needs a square matrix"):
+            determinant(m)
+        with pytest.raises(ValueError, match="adjugate needs a square matrix"):
+            adjugate(m)
 
 
 def test_determinant_matches_fraction_gauss():
@@ -105,6 +120,27 @@ def test_hermite_form_preserves_row_lattice():
             assert _lattice_contains(hrows, tuple(r))
         for r in hrows:
             assert _lattice_contains([tuple(x) for x in m], tuple(r))
+
+
+def test_hermite_form_without_transform_is_the_same_form():
+    """``transform=False`` builds no U and returns the same H as the
+    default, on tall, wide and square matrices, with zero rows, and on the
+    empty matrix."""
+    rng = random.Random(110)
+    shapes = {"tall": 0, "wide": 0, "square": 0, "zero rows": 0}
+    for _ in range(120):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(rng.randint(0, 2)):
+            m.insert(rng.randrange(len(m) + 1), [0] * cols)
+        H, U = hermite_normal_form(m)
+        assert hermite_normal_form(m, transform=False) == (H, None)
+        assert U is not None
+        shapes["tall" if len(m) > cols else "wide" if len(m) < cols else "square"] += 1
+        shapes["zero rows"] += any(not any(r) for r in m)
+    assert min(shapes.values()) >= 10, shapes
+    assert hermite_normal_form([]) == ([], [])
+    assert hermite_normal_form([], transform=False) == ([], None)
 
 
 def test_matrix_rank_matches_fraction_gauss():
